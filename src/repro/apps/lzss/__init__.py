@@ -11,8 +11,11 @@ Layout:
   per byte) and the decoder;
 * :mod:`~repro.apps.lzss.matcher` — canonical longest-leftmost match
   semantics: a brute-force reference and a C-speed ``bytes.find``-based
-  binary-search matcher (both block-bounded, non-overlapping, matching
+  galloping matcher (both block-bounded, non-overlapping, matching
   Listing 3's loop conditions);
+* :mod:`~repro.apps.lzss.parse` — the one greedy parse: a numpy
+  candidate map (Listing 3's per-byte lanes) and a walk that jumps over
+  literal runs and calls the matcher only where a match starts;
 * :mod:`~repro.apps.lzss.reference` — the CPU encoder/decoder;
 * :mod:`~repro.apps.lzss.gpu` — the batched FindMatch kernel working on
   a whole Dedup batch with its ``startPos`` block-index array at once,

@@ -8,8 +8,10 @@ and later configurations (and duplicate-heavy datasets) skip the
 virtual-time work — identical outputs, identical modeled times, much
 less wall clock.
 
-Keyed by SHA-1 of the block (we already have a SHA-1); bounded by total
-stored bytes with FIFO eviction.
+Keyed by SHA-1 of the block (we already have a SHA-1): callers hash a
+block once with :func:`key` and pass the key to :func:`lookup` and
+:func:`store`.  Bounded by total stored bytes with least-recently-used
+eviction (a hit moves its entry to the back of the queue).
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ hits = 0
 misses = 0
 
 
-def _key(block: bytes) -> bytes:
+def key(block: bytes) -> bytes:
+    """The memo key of a block's content."""
     return hashlib.sha1(block).digest()
 
 
-def lookup(block: bytes) -> Optional[Tuple[bytes, int]]:
+def lookup(k: bytes) -> Optional[Tuple[bytes, int]]:
     """Return ``(token_stream, scan_ops)`` if this content was seen."""
     global hits, misses
-    k = _key(block)
     with _LOCK:
         entry = _CACHE.get(k)
         if entry is not None:
@@ -47,9 +49,8 @@ def lookup(block: bytes) -> Optional[Tuple[bytes, int]]:
         return None
 
 
-def store(block: bytes, compressed: bytes, scan_ops: int) -> None:
+def store(k: bytes, compressed: bytes, scan_ops: int) -> None:
     global _BYTES
-    k = _key(block)
     with _LOCK:
         if k in _CACHE:
             return

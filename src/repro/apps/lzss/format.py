@@ -51,6 +51,30 @@ class TokenWriter:
         self._out[self._flag_pos] |= 1 << bit
         self._out.append(byte & 0xFF)
 
+    def literals(self, run: bytes) -> None:
+        """Append every byte of ``run`` as a literal, in bulk.
+
+        Same stream as calling :meth:`literal` per byte: fill the open
+        flag group, then one ``0xFF`` flag plus 8 raw bytes per full
+        group, then the tail in a new group.
+        """
+        out = self._out
+        n = len(run)
+        k = min(8 - self._flag_bit, n)  # room left in the open group
+        if k:
+            out[self._flag_pos] |= ((1 << k) - 1) << self._flag_bit
+            out += run[:k]
+            self._flag_bit += k
+        full, tail = divmod(n - k, 8)
+        if full:
+            out += b"".join(b"\xff" + run[i:i + 8]
+                            for i in range(k, k + 8 * full, 8))
+        if tail:  # only reached with the open group full
+            self._flag_pos = len(out)
+            out.append((1 << tail) - 1)
+            out += run[n - tail:]
+            self._flag_bit = tail
+
     def match(self, distance: int, length: int) -> None:
         if not 1 <= distance <= WINDOW_SIZE:
             raise LzssFormatError(f"distance {distance} out of range")

@@ -10,11 +10,12 @@ Listing 3's structure, reproduced in the timing model for every lane:
   the longest match (lines 16-34).
 
 Functional evaluation is lazy: the greedy encoder only ever reads the
-match arrays at token-start positions, so the kernel computes exactly
-those entries (with the same longest-leftmost semantics as the CPU
-path) while *charging* the full every-lane cost that the real kernel
-pays.  This keeps multi-megabyte batches tractable in pure Python
-without touching the modeled time or the compressed output.
+match arrays at token-start positions, so the kernel runs the package's
+one greedy parse (:mod:`~repro.apps.lzss.parse`) and writes exactly
+those entries (zero elsewhere), while *charging* the full every-lane
+cost that the real kernel pays.  This keeps multi-megabyte batches
+tractable in pure Python without touching the modeled time or the
+compressed output.
 
 Two launch strategies mirror the paper's Section IV-B journey:
 
@@ -32,8 +33,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.lzss.format import MAX_UNCODED, TokenWriter, WINDOW_SIZE
+from repro.apps.lzss import cache
+from repro.apps.lzss.format import MAX_UNCODED, WINDOW_SIZE
 from repro.apps.lzss.matcher import find_longest_match
+from repro.apps.lzss.parse import parse
 from repro.gpu.kernel import Kernel, KernelWork, ThreadSpace
 from repro.gpu.memory import DeviceBuffer
 from repro.sim.context import charge_cpu
@@ -45,23 +48,39 @@ FINDMATCH_REGISTERS = 28
 
 def _greedy_fill(data: bytes, bounds: Sequence[int],
                  mlen: np.ndarray, moff: np.ndarray) -> None:
-    """Fill match arrays at every position the encoder will visit.
+    """Fill the match arrays of every block for :func:`encode_from_matches`.
 
-    Blocks whose content already has a cached token stream are skipped —
-    the encoder will take the cached stream instead of the arrays.
+    Each block is hashed once, and its memo decision reaches the encode
+    through the arrays themselves:
+
+    * miss: the block is parsed and memoised; its arrays hold length and
+      distance at every match-token start and 0 at every other position;
+    * hit: no search.  The cached stream goes into the block's own slots
+      of the offset array (a stream never exceeds 4 bytes per block
+      byte), flagged by minus its length at the block's first length
+      slot.  The encode takes the stream from there, so a memo eviction
+      between the two passes cannot make it walk arrays never filled.
     """
-    from repro.apps.lzss import cache
-
     for k in range(len(bounds) - 1):
         s, e = int(bounds[k]), int(bounds[k + 1])
-        if cache.lookup(bytes(data[s:e])) is not None:
+        key = cache.key(bytes(data[s:e]))
+        cached = cache.lookup(key)
+        if cached is not None:
+            stream = cached[0]
+            moff[s:e].view(np.uint8)[:len(stream)] = np.frombuffer(
+                stream, dtype=np.uint8)
+            mlen[s:e][:1] = -len(stream)
             continue
-        pos = s
-        while pos < e:
+
+        def found(pos: int) -> Tuple[int, int]:
             length, distance = find_longest_match(data, pos, s, e)
             mlen[pos] = length
             moff[pos] = distance
-            pos += length if length > MAX_UNCODED else 1
+            return length, distance
+
+        mlen[s:e] = 0
+        stream, scan_ops = parse(data, s, e, match=found)
+        cache.store(key, stream, scan_ops)
 
 
 def _lane_work(tid: np.ndarray, size: int, starts: np.ndarray,
@@ -121,33 +140,20 @@ def encode_from_matches(data: bytes, bounds: Sequence[int],
 
     "In CPU, we used the result of the kernel function to run the
     compression on each block and generate the compressed data."
+    The walk is the same greedy parse, reading lengths and distances
+    from the arrays; a block the fill found in the memo arrives as its
+    stream (see :func:`_greedy_fill`).  Never consults the memo itself.
     """
-    from repro.apps.lzss import cache
-    from repro.apps.lzss.matcher import bruteforce_scan_ops
-
     blocks: List[bytes] = []
     emitted = 0
     for k in range(len(bounds) - 1):
         s, e = int(bounds[k]), int(bounds[k + 1])
-        content = bytes(data[s:e])
-        cached = cache.lookup(content)
-        if cached is not None:
-            out = cached[0]
+        if e > s and mlen[s] < 0:  # memo hit, handed over by the fill
+            out = moff[s:e].view(np.uint8)[:-int(mlen[s])].tobytes()
         else:
-            w = TokenWriter()
-            pos = s
-            scan_ops = 0
-            while pos < e:
-                length = int(mlen[pos])
-                scan_ops += bruteforce_scan_ops(pos - s, 0)
-                if length > MAX_UNCODED:
-                    w.match(int(moff[pos]), length)
-                    pos += length
-                else:
-                    w.literal(data[pos])
-                    pos += 1
-            out = w.getvalue()
-            cache.store(content, out, scan_ops)
+            out, _ = parse(data, s, e,
+                           cand=(mlen[s:e] > MAX_UNCODED).tobytes(),
+                           match=lambda pos: (int(mlen[pos]), int(moff[pos])))
         emitted += (e - s) + len(out)
         blocks.append(out)
     charge_cpu("lzss_emit_byte", emitted)

@@ -13,8 +13,8 @@ leftmost** occurrence that
 
 Two implementations: a transparent brute-force scan (the reference, and
 the loop structure whose operation count the GPU cost model prices) and
-a fast equivalent using ``bytes.find`` with binary search on the match
-length (``find`` returns the *leftmost* occurrence, which preserves the
+a fast equivalent that gallops ``bytes.find`` up the match length
+(``find`` returns the *leftmost* occurrence, which preserves the
 tie-break).
 """
 
@@ -53,42 +53,42 @@ def find_longest_match(data: bytes, pos: int, block_start: int,
                        block_end: int) -> Tuple[int, int]:
     """Fast longest-leftmost match; equivalent to the brute-force scan.
 
-    Binary-searches the achievable length: a match of length L exists
-    iff ``data.find(data[pos:pos+L], win_start, pos - L + L)`` lands at
-    most at ``pos - L`` (source must end before ``pos``).  ``find`` is
-    leftmost, so for the final length the tie-break matches the
-    reference.
+    Gallops up the length: find the leftmost ``MIN_MATCH``-byte
+    occurrence, then for each next length search the one-byte-longer
+    prefix from the previous hit and stop at the first miss.  Every
+    occurrence of a prefix is an occurrence of the shorter one, so the
+    leftmost L+1 hit never lies left of the leftmost L hit.  ``find``'s
+    end bound ``pos`` keeps every source ending before ``pos`` (no
+    self-overlap).
     """
     max_len = min(MAX_CODED, block_end - pos)
     if max_len < MIN_MATCH:
         return 0, 0
-    win_start = max(block_start, pos - WINDOW_SIZE)
-    if win_start >= pos:
+    find = data.find
+    start = find(data[pos:pos + MIN_MATCH],
+                 max(block_start, pos - WINDOW_SIZE), pos)
+    if start < 0:
         return 0, 0
-
-    def locate(length: int) -> int:
-        """Leftmost start of a non-overlapping match of ``length``, or -1."""
-        if pos - win_start < length:
-            return -1
-        idx = data.find(data[pos:pos + length], win_start, pos)
-        # find's end bound limits the *end* of the needle: occurrences
-        # ending after pos would overlap; the end=pos argument already
-        # enforces start + length <= pos.
-        return idx if idx >= 0 else -1
-
-    if locate(MIN_MATCH) < 0:
-        return 0, 0
-    lo, hi = MIN_MATCH, max_len  # lo is always achievable
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if locate(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid - 1
-    start = locate(lo)
-    return lo, pos - start
+    length = MIN_MATCH
+    while length < max_len:
+        hit = find(data[pos:pos + length + 1], start, pos)
+        if hit < 0:
+            break
+        start, length = hit, length + 1
+    return length, pos - start
 
 
 def bruteforce_scan_ops(pos: int, block_start: int) -> int:
     """Operation count of the window scan at ``pos`` (for cost models)."""
     return min(pos - block_start, WINDOW_SIZE)
+
+
+def scan_ops_range(lo: int, hi: int) -> int:
+    """``sum(bruteforce_scan_ops(p, 0) for p in range(lo, hi))``, closed form."""
+    return _scan_ops_prefix(hi) - _scan_ops_prefix(lo)
+
+
+def _scan_ops_prefix(n: int) -> int:
+    if n <= WINDOW_SIZE:
+        return n * (n - 1) // 2
+    return WINDOW_SIZE * (WINDOW_SIZE - 1) // 2 + (n - WINDOW_SIZE) * WINDOW_SIZE

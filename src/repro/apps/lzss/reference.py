@@ -1,7 +1,8 @@
 """CPU LZSS encoder (the paper's pre-GPU baseline).
 
 Greedy tokenizer: at each position take the longest block-bounded match
-(or a literal), exactly the loop the GPU FindMatch kernel parallelizes.
+(or a literal), exactly the loop the GPU FindMatch kernel parallelizes;
+the loop itself is :func:`repro.apps.lzss.parse.parse`.
 Charges ``lzss_matchop`` for the window scans it would perform
 brute-force (what the C version does) and ``lzss_emit_byte`` for output
 assembly, so virtual-time runs price the real workload.
@@ -11,39 +12,22 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.apps.lzss.format import (
-    MAX_UNCODED,
-    MIN_MATCH,
-    TokenWriter,
-    decompress,
-)
-from repro.apps.lzss.matcher import bruteforce_scan_ops, find_longest_match
+from repro.apps.lzss import cache
+from repro.apps.lzss.format import decompress
+from repro.apps.lzss.parse import parse
 from repro.sim.context import charge_cpu
 
 
 def compress_block(data: bytes, start: int, end: int) -> bytes:
     """Compress ``data[start:end]`` as one independent LZSS block."""
-    from repro.apps.lzss import cache
-
     block = bytes(data[start:end])
-    cached = cache.lookup(block)
+    key = cache.key(block)
+    cached = cache.lookup(key)
     if cached is not None:
         out, scan_ops = cached
     else:
-        w = TokenWriter()
-        pos = 0
-        scan_ops = 0
-        while pos < len(block):
-            length, distance = find_longest_match(block, pos, 0, len(block))
-            scan_ops += bruteforce_scan_ops(pos, 0)
-            if length > MAX_UNCODED:
-                w.match(distance, length)
-                pos += length
-            else:
-                w.literal(block[pos])
-                pos += 1
-        out = w.getvalue()
-        cache.store(block, out, scan_ops)
+        out, scan_ops = parse(block, 0, len(block))
+        cache.store(key, out, scan_ops)
     charge_cpu("lzss_matchop", scan_ops)
     charge_cpu("lzss_emit_byte", len(block) + len(out))
     return out

@@ -94,6 +94,10 @@ def test_fig5_single_dataset_small():
     batch = by_label["silesia: single cuda batch"]
     assert best.value > cpu.value
     assert batch.value > nobatch.value
+    # MB / virtual makespan, pinned bit-exact: how the LZSS parse is
+    # computed must never move its lzss_matchop / lzss_emit_byte charges
+    assert cpu.value == 10.037532527222881
+    assert best.value == 68.66526450287384
     assert all(r.extra.get("verified") in (True, None) for r in rep.rows)
 
 
