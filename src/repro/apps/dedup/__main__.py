@@ -21,6 +21,7 @@ import time
 from repro.apps.dedup.container import Archive, restore
 from repro.apps.dedup.pipeline_cpu import dedup_cpu
 from repro.apps.dedup.pipeline_gpu import GpuDedupConfig, dedup_gpu
+from repro.apps.dedup.rabin import BATCH_SIZE, GearChunker, make_batches
 
 
 def _cmd_pack(args) -> int:
@@ -31,7 +32,8 @@ def _cmd_pack(args) -> int:
                              batch_size=args.batch_size)
         out = dedup_gpu(data, cfg)
     else:
-        out = dedup_cpu(data, replicas=args.replicas)
+        batches = make_batches(data, GearChunker(), args.batch_size)
+        out = dedup_cpu(data, replicas=args.replicas, prechunked=batches)
     wall = time.perf_counter() - t0
     blob = out.archive.serialize()
     pathlib.Path(args.archive).write_bytes(blob)
@@ -84,7 +86,7 @@ def main(argv=None) -> int:
     pack.add_argument("--gpu", action="store_true",
                       help="use the 5-stage SPar+CUDA pipeline (Fig. 3)")
     pack.add_argument("--replicas", type=int, default=4)
-    pack.add_argument("--batch-size", type=int, default=256 * 1024)
+    pack.add_argument("--batch-size", type=int, default=BATCH_SIZE)
     pack.add_argument("--verify", action="store_true")
     pack.set_defaults(fn=_cmd_pack)
 

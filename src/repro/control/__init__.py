@@ -6,11 +6,12 @@ control-loop shape) and keeps :class:`~repro.core.config.ExecConfig`
 for static build knobs.  Pass a policy to ``repro.run(..., policy=...)``
 or install one ambiently::
 
-    from repro.control import TuningPolicy, use_policy
+    from repro.control import TuningPolicy
+    from repro.core.config import use_config
 
     result = repro.run(pipe, policy=TuningPolicy(max_replicas=8))
 
-    with use_policy(TuningPolicy(tune_batch=True)):
+    with use_config(policy=TuningPolicy(tune_batch=True)):
         repro.run(pipe)   # self-tunes without touching the config
 """
 
@@ -22,8 +23,6 @@ from repro.control.controller import (
     SetBatch,
     SetBlocking,
     StageHandle,
-    current_policy,
-    use_policy,
 )
 from repro.control.policy import TuningPolicy
 
@@ -36,6 +35,4 @@ __all__ = [
     "SetBlocking",
     "StageHandle",
     "TuningPolicy",
-    "current_policy",
-    "use_policy",
 ]

@@ -30,10 +30,8 @@ of the run rather than retried forever.
 
 from __future__ import annotations
 
-import contextlib
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol
 
 from repro.control.policy import TuningPolicy
 from repro.obs.snapshot import CONSUMER_LIMITED, PRODUCER_LIMITED, TelemetrySnapshot
@@ -353,24 +351,3 @@ class Controller:
             "applied": len(applied),
             "events": [e.as_dict() for e in self.events],
         }
-
-
-_POLICY: ContextVar[Optional[TuningPolicy]] = ContextVar(
-    "repro_tuning_policy", default=None)
-
-
-def current_policy() -> Optional[TuningPolicy]:
-    """The ambient policy installed by :func:`use_policy`, if any."""
-    return _POLICY.get()
-
-
-@contextlib.contextmanager
-def use_policy(policy: TuningPolicy) -> Iterator[TuningPolicy]:
-    """Install ``policy`` ambiently: runs inside the block self-tune
-    without threading it through :class:`~repro.core.config.ExecConfig`
-    (mirrors :func:`~repro.obs.metrics.use_registry`)."""
-    token = _POLICY.set(policy)
-    try:
-        yield policy
-    finally:
-        _POLICY.reset(token)

@@ -9,7 +9,7 @@ blocking↔spin discipline, the hand-off batch) and the control-loop
 shape (window, hysteresis, cooldown).
 
 A policy is immutable; pass one to ``repro.run(..., policy=...)`` or
-install it ambiently with :func:`repro.control.use_policy`.
+install it ambiently with ``repro.core.config.use_config(policy=...)``.
 """
 
 from __future__ import annotations

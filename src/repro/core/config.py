@@ -9,20 +9,33 @@ autonomic controller may retune mid-run, ``blocking`` and
 bounds, lever enables, control-loop shape) lives on
 :class:`repro.control.TuningPolicy`, passed as ``policy=``.
 
-All string→enum coercion happens in one normalization pass
-(:meth:`ExecConfig._normalize`): ``mode``, ``scheduling`` and
-``workers`` accept their enum or its string value, and ``blocking``
-additionally accepts ``"blocking"``/``"spin"``.  The worker enum is a
+All string→enum coercion and value checking happens in one
+normalization pass (:meth:`ExecConfig._normalize`): ``mode``,
+``scheduling`` and ``workers`` accept their enum or its string value,
+``blocking`` additionally accepts ``"blocking"``/``"spin"``, and the
+boolean and object knobs are type-checked.  The worker enum is a
 ``str`` mixin, so ``cfg.workers == "process"`` style comparisons used
 throughout the executors (and user code) are unchanged.
+
+Five fields — ``tracer``, ``metrics_registry``, ``policy``, ``optimize``
+and ``columnar`` — default to ``None``, meaning "not set here".  One
+rule fills them: :meth:`ExecConfig.resolved` takes the explicit field,
+else the innermost :func:`use_config` scope's value, else the built-in
+default (optimizer and columnar transport on, the no-op tracer, no
+policy, no registry).  Each executor resolves its config once, in its
+constructor; everything downstream reads plain fields.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
 import enum
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Union
 
 from repro.sim.machine import MachineSpec, PAPER_MACHINE
 
@@ -98,8 +111,7 @@ class ExecConfig:
 
     ``mode`` also accepts the strings ``"native"``/``"simulated"``.
     ``tracer`` attaches a :class:`repro.obs.Tracer` to the run; ``None``
-    falls back to the ambient tracer (the no-op one unless installed via
-    :func:`repro.obs.use_tracer`).
+    falls back to the :func:`use_config` tracer, else the no-op one.
     """
 
     mode: Union[ExecMode, str] = ExecMode.NATIVE
@@ -132,9 +144,9 @@ class ExecConfig:
     collect_outputs: bool = True
     #: observability sink for this run (None = ambient tracer)
     tracer: Optional["Tracer"] = None
-    #: live telemetry registry for this run (None = the ambient registry
-    #: installed by :func:`repro.obs.use_registry`, if any; one is
-    #: auto-created when ``metrics_port`` is set or a policy is active).
+    #: live telemetry registry for this run (None = the ambient
+    #: :func:`use_config` registry, if any; one is auto-created when
+    #: ``metrics_port`` is set or a policy is active).
     #: Reusable across runs: counters are cumulative, windows are diffed
     #: per run.
     metrics_registry: Optional["MetricsRegistry"] = None
@@ -148,27 +160,31 @@ class ExecConfig:
     #: for telemetry snapshots
     metrics_interval: float = 0.25
     #: autonomic-controller policy for this run (None = the ambient
-    #: policy installed by :func:`repro.control.use_policy`, if any;
-    #: no policy = no controller).  See :class:`repro.control.TuningPolicy`.
+    #: :func:`use_config` policy, if any; no policy = no controller).
+    #: See :class:`repro.control.TuningPolicy`.
     policy: Optional["TuningPolicy"] = None
     #: run the graph optimizer (:mod:`repro.core.opt` — stage fusion and
     #: batch vectorization) when lowering this run's plan.  None = the
-    #: ambient default installed by :func:`repro.core.opt.use_optimizer`
-    #: (the harness's ``--no-opt``), which is on.
+    #: ambient :func:`use_config` value (the harness's ``--no-opt``),
+    #: else on.
     optimize: Optional[bool] = None
     #: move ``ItemBlock`` batches (struct-of-arrays columns) instead of
     #: scalar envelopes on edges the plan proves block-capable at both
     #: ends (compiled/vectorized kernels, block sources, range-aware
-    #: sequencers).  None = the ambient default installed by
-    #: :func:`repro.core.items.use_columnar`, which is on.  Requires no
+    #: sequencers).  None = the ambient :func:`use_config` value (the
+    #: harness's ``--no-columnar``), else on.  Requires no
     #: ``max_tokens`` gate; ineligible edges silently stay scalar
     #: (reasons in ``OptReport.columnar``).
     columnar: Optional[bool] = None
 
+    #: set on the copy :meth:`resolved` returns (an instance attribute,
+    #: not a field: ``replace`` copies start unresolved again)
+    _resolved = False
+
     def __post_init__(self) -> None:
         self._normalize()
 
-    # -- the one string→enum coercion path --------------------------------
+    # -- the one normalization path ---------------------------------------
     _ENUM_KNOBS = (
         ("mode", ExecMode, "execution mode"),
         ("scheduling", Scheduling, "scheduling"),
@@ -180,13 +196,17 @@ class ExecConfig:
             setattr(self, name, _coerce_enum(getattr(self, name),
                                              enum_cls, what))
         self.blocking = _coerce_blocking(self.blocking)
-        if self.policy is not None:
-            from repro.control.policy import TuningPolicy
-
-            if not isinstance(self.policy, TuningPolicy):
+        for name in ("optimize", "columnar", "collect_outputs"):
+            value = getattr(self, name)
+            if not (isinstance(value, bool)
+                    or (value is None and name != "collect_outputs")):
                 raise ValueError(
-                    f"policy must be a repro.control.TuningPolicy, "
-                    f"got {type(self.policy).__name__}")
+                    f"{name} must be a bool, got {type(value).__name__}")
+        for name, cls, what in _object_knobs():
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, cls):
+                raise ValueError(
+                    f"{name} must be a {what}, got {type(value).__name__}")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.max_tokens is not None and self.max_tokens < 1:
@@ -198,30 +218,76 @@ class ExecConfig:
         if self.metrics_interval <= 0:
             raise ValueError("metrics_interval must be > 0")
 
-    def resolved_policy(self) -> Optional["TuningPolicy"]:
-        """This run's tuning policy: explicit field, else the ambient one."""
-        if self.policy is not None:
-            return self.policy
-        from repro.control.controller import current_policy
+    def resolved(self) -> "ExecConfig":
+        """A copy with every unset overlay field filled, once per run.
 
-        return current_policy()
+        Each ``None`` among the five overlay fields takes the innermost
+        :func:`use_config` value, else the built-in default.  The copy
+        keeps its values after the scope exits, and resolving it again
+        returns it unchanged.
+        """
+        if self._resolved:
+            return self
+        from repro.obs.tracer import NOOP_TRACER
 
-    def resolved_optimize(self) -> bool:
-        """Whether this run's plan goes through the graph optimizer."""
-        if self.optimize is not None:
-            return bool(self.optimize)
-        from repro.core.opt import optimizer_default
-
-        return optimizer_default()
-
-    def resolved_columnar(self) -> bool:
-        """Whether block transport may be planned for this run's edges."""
-        if self.columnar is not None:
-            return bool(self.columnar)
-        from repro.core.items import columnar_default
-
-        return columnar_default()
+        ambient = _OVERLAY.get()
+        builtin = {"tracer": NOOP_TRACER, "optimize": True, "columnar": True}
+        out = copy.copy(self)  # every value in play is already checked
+        for key in _OVERLAY_KEYS:
+            if getattr(out, key) is None:
+                setattr(out, key, ambient.get(key, builtin.get(key)))
+        out._resolved = True
+        return out
 
     def replace(self, **kwargs) -> "ExecConfig":
         """A copy with the given fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **kwargs)
+
+
+@functools.cache
+def _object_knobs() -> tuple:
+    """(field, required type, its public name) for the object-valued
+    knobs; imported on first use (these modules import this one)."""
+    from repro.control.policy import TuningPolicy
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import Tracer
+
+    return (("tracer", Tracer, "repro.obs.Tracer"),
+            ("metrics_registry", MetricsRegistry, "repro.obs.MetricsRegistry"),
+            ("policy", TuningPolicy, "repro.control.TuningPolicy"))
+
+
+#: the fields :func:`use_config` may set: those whose ``None`` default
+#: means "not set here"
+_OVERLAY_KEYS = ("tracer", "metrics_registry", "policy", "optimize", "columnar")
+
+#: the ambient overlay: the five overlay fields set by the enclosing
+#: :func:`use_config` scopes.  Read-only: each scope installs a fresh
+#: dict (a plain one, so :func:`repro.obs.current_tracer` stays one
+#: ``get`` plus one dict lookup).
+_OVERLAY: ContextVar[Mapping[str, Any]] = ContextVar(
+    "repro_config_overlay", default={})
+
+
+@contextlib.contextmanager
+def use_config(**overrides: Any) -> Iterator[None]:
+    """Set ambient values for unset :class:`ExecConfig` fields in a block.
+
+    Accepts only the five overlay fields; values pass the constructor's
+    checks.  A nested scope merges over the enclosing one and restores
+    it on exit; ``None`` leaves the enclosing value in place, as it does
+    on a config.  Explicit config fields always win.
+    """
+    unknown = sorted(set(overrides) - set(_OVERLAY_KEYS))
+    if unknown:
+        raise ValueError(f"use_config got unknown keys {unknown}; "
+                         f"allowed: {list(_OVERLAY_KEYS)}")
+    checked = ExecConfig(**overrides)
+    merged = dict(_OVERLAY.get())
+    merged.update((key, getattr(checked, key)) for key in overrides
+                  if overrides[key] is not None)
+    token = _OVERLAY.set(merged)
+    try:
+        yield
+    finally:
+        _OVERLAY.reset(token)

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.control.controller import Controller, StageHandle
 from repro.core.channel import Aborted, AbortSignal, make_channel
-from repro.core.config import ExecConfig
+from repro.core.config import ExecConfig, use_config
 from repro.core.graph import PipelineGraph
 from repro.core.items import EOS, ItemBlock, Multi, RETIRE
 from repro.core.metrics import RunResult, StageMetrics
@@ -68,8 +68,6 @@ from repro.obs.tracer import (
     CAT_QUEUE,
     CAT_STAGE,
     CAT_TOKEN,
-    current_tracer,
-    use_tracer,
 )
 
 #: don't record queue/token wait spans shorter than this (wall seconds);
@@ -1262,7 +1260,7 @@ def _spawn(threads: List[threading.Thread], fn, *args, name: str,
                 # context vars don't cross thread boundaries; re-install
                 # the tracer for ambient consumers (GPU device model,
                 # user stage code)
-                with use_tracer(tracer):
+                with use_config(tracer=tracer):
                     fn(*args)
             else:
                 fn(*args)
@@ -1444,13 +1442,12 @@ class _NativeActuator:
 class NativeExecutor:
     def __init__(self, graph: PipelineGraph, config: ExecConfig):
         self.graph = graph
-        self.config = config
+        self.config = config = config.resolved()
         self.plan: ExecutionPlan = build_plan(graph, config)
         self._errors = _ErrorBox()
         self._tokens = _TokenPool(config.max_tokens, self._errors)
-        tracer = config.tracer if config.tracer is not None else current_tracer()
         #: None on the untraced fast path — all hooks hide behind this
-        self._tracer = tracer if tracer.enabled else None
+        self._tracer = config.tracer if config.tracer.enabled else None
         self._clock = WallClock()  # re-zeroed at run start
 
     def _spawn(self, threads: List[threading.Thread], fn, *args,
@@ -1525,7 +1522,7 @@ class NativeExecutor:
                                            metrics=registry)
         runner.sink_columnar = plan.sink_columnar
 
-        policy = cfg.resolved_policy()
+        policy = cfg.policy
         mutable = _mutable_edges(plan, policy)
         edges = {
             cs.name: Edge(cs, cfg.queue_capacity, self._errors,

@@ -680,7 +680,7 @@ class ProcessExecutor(NativeExecutor):
         self._tele_chs = tele_chs
         self._registry, self._live_telemetry = registry, telemetry
         self._drain_threads = drain_threads
-        policy = cfg.resolved_policy()
+        policy = cfg.policy
         mutable = _mutable_edges(plan, policy)
         boundary_names = set(placement.boundary_channels)
         try:

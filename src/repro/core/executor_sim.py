@@ -31,7 +31,7 @@ import time
 from typing import Any, List, Optional, Sequence
 
 from repro.control.controller import Controller, StageHandle
-from repro.core.config import ExecConfig
+from repro.core.config import ExecConfig, use_config
 from repro.core.executor_native import (
     Env,
     _ElasticState,
@@ -57,8 +57,6 @@ from repro.obs.tracer import (
     CAT_QUEUE,
     CAT_STAGE,
     CAT_TOKEN,
-    current_tracer,
-    use_tracer,
 )
 from repro.sim.context import WorkCursor, use_cursor
 from repro.sim.engine import Engine, Store
@@ -316,7 +314,7 @@ class _SimActuator:
 class SimExecutor:
     def __init__(self, graph: PipelineGraph, config: ExecConfig):
         self.graph = graph
-        self.config = config
+        self.config = config = config.resolved()
         self.plan: ExecutionPlan = build_plan(graph, config)
         self.engine = Engine()
         self._metrics: dict[str, StageMetrics] = {}
@@ -329,9 +327,8 @@ class SimExecutor:
         self._threads = self.plan.total_threads
         self._oversub = machine.cpu.oversubscription_factor(self._threads)
         self._queue_op = machine.cpu.queue_op_s * self._oversub
-        tracer = config.tracer if config.tracer is not None else current_tracer()
         #: None on the untraced fast path — all hooks hide behind this
-        self._tracer = tracer if tracer.enabled else None
+        self._tracer = config.tracer if config.tracer.enabled else None
         #: manual-mode LiveTelemetry, installed by run() (the sampler is
         #: ticked from the unit loops: a wall-clock thread cannot follow
         #: virtual time)
@@ -788,7 +785,7 @@ class SimExecutor:
             telemetry.start()
 
         controller = None
-        policy = self.config.resolved_policy()
+        policy = self.config.policy
         if policy is not None and telemetry is not None:
             actuator = _SimActuator(self, edges, policy)
             controller = Controller(policy, actuator,
@@ -798,15 +795,15 @@ class SimExecutor:
 
         wall0 = time.perf_counter()
         if tracer is not None:
-            # The ambient tracer so device models and user code deep in the
-            # call stack can emit events; the SimClock reads engine.now.
+            # the SimClock reads engine.now
             tracer.begin_run(plan.graph_name, "simulated",
                              SimClock(lambda: engine.now))
-            with use_tracer(tracer):
-                engine.run()
-            tracer.end_run(engine.now)
-        else:
+        # The run's tracer is the ambient one while the engine runs, so
+        # device models and user code deep in the call stack emit into it.
+        with use_config(tracer=self.config.tracer):
             engine.run()
+        if tracer is not None:
+            tracer.end_run(engine.now)
         wall = time.perf_counter() - wall0
         telemetry_summary = None
         if controller is not None:

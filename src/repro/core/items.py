@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
@@ -204,27 +202,6 @@ def _tolist(col: Any) -> List[Any]:
 def payload_items(payload: Any) -> int:
     """Logical item count carried by one envelope payload."""
     return payload.count if type(payload) is ItemBlock else 1
-
-
-# ambient default for ExecConfig.columnar=None, mirroring the optimizer's
-# ambient: the fast path is on unless a scope or config turns it off.
-_COLUMNAR_DEFAULT: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_columnar_default", default=True)
-
-
-def columnar_default() -> bool:
-    """The ambient columnar-transport default (True unless overridden)."""
-    return _COLUMNAR_DEFAULT.get()
-
-
-@contextlib.contextmanager
-def use_columnar(enabled: bool):
-    """Scope the ambient columnar default (A/B runs, tests, harness)."""
-    token = _COLUMNAR_DEFAULT.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _COLUMNAR_DEFAULT.reset(token)
 
 
 @dataclass(frozen=True)

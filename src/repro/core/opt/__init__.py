@@ -8,11 +8,11 @@ vectorization sees final unit boundaries.  Passes are pure functions of
 the element list plus spec hints, so the same graph always optimizes the
 same way.
 
-Enablement resolves in two steps, mirroring the ambient TuningPolicy:
-``ExecConfig.optimize`` when set (per run), else the ambient default
-installed by :func:`use_optimizer` (the harness's ``--no-opt``), else
-on.  The result of every run is an :class:`OptReport`, attached to the
-plan and surfaced in ``RunResult.details["opt"]``; an ambient collector
+Enablement is ``ExecConfig.optimize`` as resolved by
+:meth:`~repro.core.config.ExecConfig.resolved`: the per-run field, else
+the ambient ``use_config(optimize=...)`` (the harness's ``--no-opt``),
+else on.  The result of every run is an :class:`OptReport`, attached to
+the plan and surfaced in ``RunResult.details["opt"]``; an ambient collector
 (:func:`collect_reports`) lets the harness aggregate reports across the
 many runs inside one experiment.
 """
@@ -35,11 +35,9 @@ from repro.core.opt.fusion import FUSE_COST_THRESHOLD, fuse_stages
 from repro.core.opt.report import OptReport
 from repro.core.opt.vectorize import (
     BatchKernel,
-    auto_vectorize_default,
     clear_kernel_cache,
     get_kernel,
     kernel_cache_stats,
-    use_auto_vectorize,
     vectorize_stages,
 )
 
@@ -51,39 +49,19 @@ __all__ = [
     "FusedStage",
     "OptReport",
     "UnsupportedConstruct",
-    "auto_vectorize_default",
     "bodycomp_stats",
     "clear_kernel_cache",
     "collect_reports",
     "get_kernel",
     "kernel_cache_stats",
     "optimize",
-    "optimizer_default",
     "try_compile_spec",
-    "use_auto_vectorize",
-    "use_optimizer",
 ]
 
 Element = Union[StageSpec, Farm]
 
-_DEFAULT_ON: ContextVar[bool] = ContextVar("repro_opt_default", default=True)
 _COLLECTOR: ContextVar[Optional[list]] = ContextVar(
     "repro_opt_collector", default=None)
-
-
-def optimizer_default() -> bool:
-    """Ambient enablement used when ``ExecConfig.optimize`` is None."""
-    return _DEFAULT_ON.get()
-
-
-@contextlib.contextmanager
-def use_optimizer(enabled: bool) -> Iterator[None]:
-    """Scope the ambient optimizer default (harness ``--opt/--no-opt``)."""
-    token = _DEFAULT_ON.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _DEFAULT_ON.reset(token)
 
 
 @contextlib.contextmanager

@@ -3,12 +3,11 @@
 PR 8 gave stages batch kernels, but only hand-written ones (a
 ``process_batch`` method or ``vectorized=fn``).  This module closes the
 remaining gap named in the ROADMAP: a stage that opts in with
-``vectorized="auto"`` (or runs under the ambient
-:func:`~repro.core.opt.vectorize.use_auto_vectorize` default) gets its
-ordinary scalar body parsed via :mod:`ast`, lowered to the typed mini-IR
-in :mod:`repro.core.opt.kir`, and emitted as a compiled batch kernel —
-the same ``kernel(items) -> outputs`` shape the executors already run
-through the keyed cache in :mod:`~repro.core.opt.vectorize`.
+``vectorized="auto"`` gets its ordinary scalar body parsed via
+:mod:`ast`, lowered to the typed mini-IR in :mod:`repro.core.opt.kir`,
+and emitted as a compiled batch kernel — the same
+``kernel(items) -> outputs`` shape the executors already run through
+the keyed cache in :mod:`~repro.core.opt.vectorize`.
 
 The accepted subset is deliberately small and *exactly* scalar-
 equivalent: arithmetic/comparison/bitwise operators, ``math.*`` calls

@@ -17,51 +17,22 @@ contract at runtime.
 
 ``vectorized="auto"`` asks the body compiler
 (:mod:`repro.core.opt.bodycomp`) to *derive* the kernel from the stage's
-scalar ``process`` body; :func:`use_auto_vectorize` makes that the
-ambient default for unhinted stages.  Either way an unsupported body
-falls back silently to the scalar path, with the reason recorded in the
-report's per-stage ``bodycomp`` disposition.
+scalar ``process`` body.  An unsupported body falls back silently to
+the scalar path, with the reason recorded in the report's per-stage
+``bodycomp`` disposition.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from contextvars import ContextVar
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.graph import Farm, GraphError, Pipe, StageSpec, _worker_chain
-from repro.core.opt.fusion import FUSE_COST_THRESHOLD
 from repro.core.opt.report import OptReport
 from repro.core.stage import InstanceFactory, Stage
 
 Element = Union[StageSpec, Farm]
-
-_AUTO_DEFAULT: ContextVar[bool] = ContextVar("repro_opt_auto_vectorize",
-                                             default=False)
-
-
-def auto_vectorize_default() -> bool:
-    """Ambient body-compiler enablement for unhinted stages."""
-    return _AUTO_DEFAULT.get()
-
-
-@contextlib.contextmanager
-def use_auto_vectorize(enabled: bool) -> Iterator[None]:
-    """Scope the ambient ``vectorized="auto"`` default.
-
-    Inside the context every eligible unhinted serial body is offered to
-    the body compiler; stages it cannot compile keep their scalar path
-    (with the fallback reason reported), so turning this on is always
-    semantics-preserving.
-    """
-    token = _AUTO_DEFAULT.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _AUTO_DEFAULT.reset(token)
-
 
 class BatchKernel:
     """A compiled batch kernel: call with ``(logic, items, ctx)``.
@@ -174,9 +145,8 @@ def get_kernel(spec: StageSpec, logic: Any) -> Optional[BatchKernel]:
 def resolve_vectorized(spec: StageSpec) -> Any:
     """Normalize ``vectorized`` (auto-detect None) for one spec.
 
-    Returns the literal ``"auto"`` both for the explicit hint and for
-    unhinted stages under the ambient :func:`use_auto_vectorize`
-    default; the vectorize pass resolves it through the body compiler.
+    The explicit ``"auto"`` hint passes through; the vectorize pass
+    resolves it through the body compiler.
     """
     v = spec.vectorized
     if v is None:
@@ -190,13 +160,6 @@ def resolve_vectorized(spec: StageSpec) -> Any:
         elif isinstance(factory, type) and issubclass(factory, Stage):
             if _has_process_batch(factory):
                 return True
-        if (auto_vectorize_default() and not spec.fused_from
-                and spec.fusible is not True
-                and not (spec.cost is not None
-                         and spec.cost <= FUSE_COST_THRESHOLD)):
-            # ambient auto never steals a stage the user hinted toward
-            # fusion; explicit vectorized="auto" (below) always wins
-            return "auto"
         return False
     return v
 

@@ -325,17 +325,17 @@ def build_plan(graph: PipelineGraph,
     """Lower ``graph`` into an :class:`ExecutionPlan`.
 
     The graph optimizer (:mod:`repro.core.opt`) runs here, between
-    flattening and lowering, unless disabled via ``config.optimize``
-    (or the ambient :func:`repro.core.opt.use_optimizer` default).
+    flattening and lowering, unless the resolved ``config.optimize`` is
+    off.  A config the executor already resolved passes through as-is.
     Besides the optimizer and per-stage scheduling defaults (which
     decide channel fan-out policy), the plan's structure — units,
     channels, sequencer points, thread count — is config-independent.
     """
-    cfg = config if config is not None else ExecConfig()
+    cfg = (config if config is not None else ExecConfig()).resolved()
     graph.validate()
     elements = graph.flattened()
     opt_report = None
-    if cfg.resolved_optimize():
+    if cfg.optimize:
         from repro.core.opt import optimize
 
         elements, opt_report = optimize(elements)
@@ -442,7 +442,7 @@ def _plan_columnar(plan: ExecutionPlan, cfg: ExecConfig) -> None:
     """
     channels = plan.channels
     gate: Optional[str] = None
-    if not cfg.resolved_columnar():
+    if not cfg.columnar:
         gate = "disabled"
     elif cfg.max_tokens is not None:
         gate = "token-gate"
@@ -451,7 +451,7 @@ def _plan_columnar(plan: ExecutionPlan, cfg: ExecConfig) -> None:
     for name, spec in channels.items():
         if spec.placement is not None:
             blocked[name] = "placement"
-    if gate is None and cfg.resolved_policy() is not None:
+    if gate is None and cfg.policy is not None:
         # an active controller may rewire these edges mid-run (worker
         # add/retire); keep them scalar so RETIRE fan-out and rerouting
         # stay envelope-granular

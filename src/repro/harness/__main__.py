@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import pathlib
 import sys
 
+from repro.core.config import use_config
+from repro.core.opt import collect_reports
 from repro.harness.experiments import REGISTRY
 from repro.harness.report import render_table
 from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
-    use_registry,
-    use_tracer,
     write_chrome_trace,
     write_trace_json,
 )
@@ -138,28 +137,21 @@ def main(argv=None) -> int:
     default_scale = {"fig1": "paper", "fig4": "paper", "fig5": "small",
                      "ablations": "paper"}
     trace_dir = pathlib.Path(args.trace_dir)
-    from repro.core.items import use_columnar
-    from repro.core.opt import collect_reports, use_optimizer
 
     for name in names:
         scale = args.scale or default_scale[name]
-        recorder = None
+        recorder = registry = None
         opt_reports: list = []
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(use_optimizer(args.opt))
-            stack.enter_context(use_columnar(args.columnar))
-            stack.enter_context(collect_reports(opt_reports))
-            if args.trace:
-                trace_dir.mkdir(parents=True, exist_ok=True)
-                recorder = SpanRecorder()
-                stack.enter_context(use_tracer(recorder))
-            if args.live:
-                registry = MetricsRegistry()
-                registry.subscribe(_make_live_ticker(registry))
-                stack.enter_context(use_registry(registry))
-            if args.policy is not None:
-                from repro.control import use_policy
-                stack.enter_context(use_policy(args.policy))
+        if args.trace:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            recorder = SpanRecorder()
+        if args.live:
+            registry = MetricsRegistry()
+            registry.subscribe(_make_live_ticker(registry))
+        with (use_config(optimize=args.opt, columnar=args.columnar,
+                         tracer=recorder, metrics_registry=registry,
+                         policy=args.policy),
+              collect_reports(opt_reports)):
             report = REGISTRY[name](scale=scale)
         report.meta["opt"] = _opt_summary(args.opt, opt_reports)
         if recorder is not None:

@@ -8,7 +8,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.tracer import Tracer, use_tracer
+from repro.core.config import use_config
+from repro.obs.tracer import Tracer
 
 
 @dataclass
@@ -34,9 +35,7 @@ def measure(fn: Callable[[], float], reps: int = 1,
     With a ``tracer``, every repetition runs under it (one trace run per
     rep), so a traced experiment keeps rep boundaries in the timeline.
     """
-    if tracer is None:
-        return Measurement([fn() for _ in range(reps)])
-    with use_tracer(tracer):
+    with use_config(tracer=tracer):
         return Measurement([fn() for _ in range(reps)])
 
 

@@ -40,8 +40,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Sampler,
     UnitProbe,
-    current_registry,
-    use_registry,
 )
 from repro.obs.promhttp import (
     MetricsPortError,
@@ -75,7 +73,6 @@ from repro.obs.tracer import (
     SpanRecorder,
     Tracer,
     current_tracer,
-    use_tracer,
 )
 
 __all__ = [
@@ -91,7 +88,6 @@ __all__ = [
     "InstantEvent",
     "RunInfo",
     "current_tracer",
-    "use_tracer",
     "chrome_trace",
     "trace_summary",
     "write_chrome_trace",
@@ -115,8 +111,6 @@ __all__ = [
     "PRODUCER_LIMITED",
     "CONSUMER_LIMITED",
     "BALANCED",
-    "current_registry",
-    "use_registry",
     "MetricsPortError",
     "MetricsServer",
     "render_exposition",

@@ -38,8 +38,7 @@ import math
 import threading
 import zlib
 from collections import deque
-from contextvars import ContextVar
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.clock import Clock
 from repro.obs.snapshot import (
@@ -551,9 +550,9 @@ class Sampler:
 class LiveTelemetry:
     """Bundles registry + sampler + optional HTTP endpoint for one run.
 
-    Built by the executors from :class:`~repro.core.config.ExecConfig`
-    (explicit ``metrics_registry``, the ambient registry installed by
-    :func:`use_registry`, or auto-created when ``metrics_port`` is set).
+    Built by the executors from their resolved
+    :class:`~repro.core.config.ExecConfig` (its ``metrics_registry``,
+    or one auto-created when ``metrics_port`` is set).
     """
 
     def __init__(self, registry: MetricsRegistry, clock: Clock,
@@ -571,16 +570,13 @@ class LiveTelemetry:
                     manual: bool = False) -> Optional["LiveTelemetry"]:
         """Resolve the run's telemetry, or None when metrics are off.
 
-        A :class:`~repro.control.TuningPolicy` on the config (or
-        installed ambiently) forces telemetry on — the controller is a
-        snapshot subscriber and cannot act without windows.  The
-        policy's ``window`` overrides ``metrics_interval`` when set.
+        A :class:`~repro.control.TuningPolicy` on the config forces
+        telemetry on — the controller is a snapshot subscriber and
+        cannot act without windows.  The policy's ``window`` overrides
+        ``metrics_interval`` when set.
         """
-        policy = config.resolved_policy() if hasattr(
-            config, "resolved_policy") else getattr(config, "policy", None)
+        policy = config.policy
         registry = config.metrics_registry
-        if registry is None:
-            registry = current_registry()
         if registry is None and config.metrics_port is None and policy is None:
             return None
         if registry is None:
@@ -625,24 +621,3 @@ class LiveTelemetry:
                 "actions_total": dict(self.registry.control_actions_total),
             }
         return summary
-
-
-_REGISTRY: ContextVar[Optional[MetricsRegistry]] = ContextVar(
-    "repro_metrics_registry", default=None)
-
-
-def current_registry() -> Optional[MetricsRegistry]:
-    """The ambient registry installed by :func:`use_registry`, if any."""
-    return _REGISTRY.get()
-
-
-@contextlib.contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` ambiently: runs inside the block report to it
-    without threading it through :class:`~repro.core.config.ExecConfig`
-    (mirrors :func:`~repro.obs.tracer.use_tracer`)."""
-    token = _REGISTRY.set(registry)
-    try:
-        yield registry
-    finally:
-        _REGISTRY.reset(token)

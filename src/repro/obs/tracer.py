@@ -15,19 +15,19 @@ latencies come for free with any trace.
 The active tracer travels in a context variable (like
 :func:`repro.sim.context.current_cursor`) so deeply nested code — the GPU
 device model, SPar's generated stages — can emit events without
-plumbing.  Context variables do **not** propagate into spawned threads;
-the native executor re-installs the tracer inside every thread body via
-:func:`use_tracer`.
+plumbing: :func:`current_tracer` reads the
+:func:`repro.core.config.use_config` overlay.  Context variables do
+**not** propagate into spawned threads; the native executor re-installs
+the run's tracer inside every thread body.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.config import _OVERLAY
 from repro.obs.clock import Clock
 from repro.obs.histogram import LatencyHistogram
 from repro.sim.context import current_cursor
@@ -134,7 +134,7 @@ NOOP_TRACER = Tracer()
 
 class SpanRecorder(Tracer):
     """In-memory tracer; feed it to :func:`repro.run` or install it
-    ambiently with :func:`use_tracer`, then export via
+    ambiently with ``use_config(tracer=...)``, then export via
     :mod:`repro.obs.export`."""
 
     enabled = True
@@ -224,20 +224,7 @@ class SpanRecorder(Tracer):
         return merged
 
 
-_TRACER: ContextVar[Optional[Tracer]] = ContextVar("repro_tracer", default=None)
-
-
 def current_tracer() -> Tracer:
-    """The ambient tracer (:data:`NOOP_TRACER` when none is installed)."""
-    t = _TRACER.get()
-    return t if t is not None else NOOP_TRACER
-
-
-@contextlib.contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Install ``tracer`` as the ambient tracer for the enclosed block."""
-    token = _TRACER.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _TRACER.reset(token)
+    """The ambient tracer: the innermost ``use_config(tracer=...)``
+    value, else :data:`NOOP_TRACER`."""
+    return _OVERLAY.get().get("tracer", NOOP_TRACER)

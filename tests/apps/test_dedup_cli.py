@@ -1,10 +1,8 @@
 """Dedup CLI (`python -m repro.apps.dedup`) tests."""
 
-import pathlib
-
 import pytest
 
-from repro.apps.datasets import linux_src
+from repro.apps.datasets import linux_src, parsec_large
 from repro.apps.dedup.__main__ import main
 
 
@@ -41,3 +39,14 @@ def test_info_reports_records(sample_file, tmp_path, capsys):
     assert main(["info", str(arc)]) == 0
     out = capsys.readouterr().out
     assert "records:" in out and "restores to 131,072 B" in out
+
+
+def test_cpu_and_gpu_pack_honour_batch_size_identically(tmp_path, capsys):
+    src = tmp_path / "corpus.bin"
+    src.write_bytes(parsec_large(size=160 * 1024, seed=5))
+    cpu, gpu = tmp_path / "cpu.rdda", tmp_path / "gpu.rdda"
+    common = ["--replicas", "2", "--batch-size", "65536"]
+    assert main(["pack", str(src), str(cpu), *common]) == 0
+    assert main(["pack", str(src), str(gpu), "--gpu", *common]) == 0
+    capsys.readouterr()
+    assert cpu.read_bytes() == gpu.read_bytes()

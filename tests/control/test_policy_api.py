@@ -1,19 +1,20 @@
 """The API split: static ExecConfig vs live TuningPolicy.
 
-Covers the single string→enum normalization path, the policy's own
-validation, and the ``repro.run(..., policy=)`` / ambient
-``use_policy`` surfaces.
+Covers the single normalization path, the policy's own validation,
+and the ``repro.run(..., policy=)`` / ambient ``use_config(policy=)``
+surfaces.
 """
 
 import pytest
 
 import repro
-from repro.control import TuningPolicy, current_policy, use_policy
+from repro.control import TuningPolicy
 from repro.core.config import (
     ExecConfig,
     ExecMode,
     Scheduling,
     WorkerBackend,
+    use_config,
 )
 from repro.core.graph import StageSpec, linear_graph
 from repro.core.stage import FunctionStage, IterSource
@@ -61,6 +62,13 @@ def test_blocking_accepts_discipline_names():
     ({"queue_capacity": 0}, "queue_capacity"),
     ({"scheduling": "lifo"}, "unknown scheduling"),
     ({"blocking": "maybe"}, "unknown blocking"),
+    ({"optimize": "false"}, "optimize must be a bool"),
+    ({"columnar": "off"}, "columnar must be a bool"),
+    ({"columnar": 1}, "columnar must be a bool"),
+    ({"collect_outputs": None}, "collect_outputs must be a bool"),
+    ({"tracer": 5}, "tracer must be a repro.obs.Tracer"),
+    ({"metrics_registry": object()},
+     "metrics_registry must be a repro.obs.MetricsRegistry"),
 ])
 def test_bad_knob_values_fail_with_one_error_shape(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -108,11 +116,11 @@ def test_run_accepts_policy_kwarg():
 
 def test_ambient_policy_via_use_policy():
     pol = TuningPolicy(window=0.2)
-    assert current_policy() is None
-    with use_policy(pol):
-        assert current_policy() is pol
+    assert ExecConfig().resolved().policy is None
+    with use_config(policy=pol):
+        assert ExecConfig().resolved().policy is pol
         r = repro.run(_graph(), mode="simulated")
         assert "controller" in r.details
-    assert current_policy() is None
+    assert ExecConfig().resolved().policy is None
     r = repro.run(_graph(), mode="simulated")
     assert "controller" not in r.details

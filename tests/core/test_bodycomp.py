@@ -20,12 +20,7 @@ import pytest
 from repro.core.config import ExecConfig
 from repro.core.graph import Farm, GraphError, StageSpec, linear_graph
 from repro.core.items import Multi
-from repro.core.opt import (
-    bodycomp_stats,
-    kernel_cache_stats,
-    try_compile_spec,
-    use_auto_vectorize,
-)
+from repro.core.opt import bodycomp_stats, kernel_cache_stats, try_compile_spec
 from repro.core.opt.bodycomp import UnsupportedConstruct, compile_body
 from repro.core.plan import build_plan
 from repro.core.run import execute
@@ -384,28 +379,6 @@ def test_auto_hint_with_optimizer_off_stays_scalar():
     assert result.outputs == [branches(i) for i in range(8)]
     assert "opt" not in result.details
     assert bodycomp_stats()["compiled"] == 0
-
-
-def test_ambient_auto_vectorize_compiles_unhinted_stages():
-    g = linear_graph(IterSource(range(16)),
-                     StageSpec(FunctionStage(arith), "a"))
-    with use_auto_vectorize(True):
-        result = execute(g, ExecConfig(optimize=True, batch_size=4))
-    assert result.details["opt"]["bodycomp"]["a"] == "compiled"
-    assert result.outputs == [arith(i) for i in range(16)]
-    # outside the scope the same graph stays scalar
-    result = execute(g, ExecConfig(optimize=True, batch_size=4))
-    assert "a" not in result.details["opt"]["bodycomp"]
-
-
-def test_ambient_auto_never_steals_fusible_stages():
-    g = linear_graph(IterSource(range(8)),
-                     StageSpec(FunctionStage(arith), "a", fusible=True),
-                     StageSpec(FunctionStage(branches), "b", fusible=True))
-    with use_auto_vectorize(True):
-        result = execute(g, ExecConfig(optimize=True))
-    assert result.details["opt"]["stages_fused"] == 2
-    assert result.details["opt"]["bodycomp"] == {}
 
 
 def test_vectorized_rejects_other_strings():

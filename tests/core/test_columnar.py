@@ -12,14 +12,9 @@ import pickle
 
 import pytest
 
-from repro.core.config import ExecConfig
+from repro.core.config import ExecConfig, use_config
 from repro.core.graph import Farm, Pipe, StageSpec, linear_graph
-from repro.core.items import (
-    ItemBlock,
-    columnar_default,
-    payload_items,
-    use_columnar,
-)
+from repro.core.items import ItemBlock, payload_items
 from repro.core.plan import build_plan
 from repro.core.run import execute
 from repro.core.stage import FunctionStage, IterSource, Source, Stage
@@ -103,15 +98,14 @@ def test_payload_items_weighs_blocks():
 
 
 def test_use_columnar_scopes_ambient_default():
-    assert columnar_default() is True
-    with use_columnar(False):
-        assert columnar_default() is False
-        assert ExecConfig(columnar=None).resolved_columnar() is False
-    assert columnar_default() is True
-    assert ExecConfig(columnar=False).resolved_columnar() is False
-    with use_columnar(False):
+    assert ExecConfig().resolved().columnar is True
+    with use_config(columnar=False):
+        assert ExecConfig(columnar=None).resolved().columnar is False
+    assert ExecConfig().resolved().columnar is True
+    assert ExecConfig(columnar=False).resolved().columnar is False
+    with use_config(columnar=False):
         # an explicit config wins over the ambient scope
-        assert ExecConfig(columnar=True).resolved_columnar() is True
+        assert ExecConfig(columnar=True).resolved().columnar is True
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +313,7 @@ def test_columnar_outputs_expand_blocks_in_order():
 
 
 def test_ambient_default_governs_unset_config():
-    with use_columnar(False):
+    with use_config(columnar=False):
         result = execute(_compiled_chain_farm(),
                          ExecConfig(optimize=True))
         disp = result.details["opt"]["columnar"]

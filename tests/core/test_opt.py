@@ -10,7 +10,7 @@ kernel cache compiles once per kernel — not once per batch size.
 import pytest
 
 import repro
-from repro.core.config import ExecConfig
+from repro.core.config import ExecConfig, use_config
 from repro.core.graph import Farm, GraphError, Pipe, StageSpec, linear_graph
 from repro.core.opt import (
     FUSE_COST_THRESHOLD,
@@ -21,7 +21,6 @@ from repro.core.opt import (
     get_kernel,
     kernel_cache_stats,
     optimize,
-    use_optimizer,
 )
 from repro.core.plan import build_plan
 from repro.core.stage import FunctionStage, IterSource, Stage
@@ -137,7 +136,7 @@ def test_optimize_off_switch_and_ambient_default():
     stages = lambda: (_fn("a", fusible=True), _fn("b", fusible=True))  # noqa: E731
     assert len(_plan(*stages()).stages) == 1
     assert len(_plan(*stages(), optimize=False).stages) == 2
-    with use_optimizer(False):
+    with use_config(optimize=False):
         assert len(_plan(*stages()).stages) == 2
         # explicit config wins over the ambient default
         assert len(_plan(*stages(), optimize=True).stages) == 1

@@ -144,8 +144,8 @@ def test_cli_policy_flag_installs_ambient_policy(capsys):
     assert rc == 0
     json.loads(capsys.readouterr().out)
     # the context manager must not leak the policy past main()
-    from repro.control import current_policy
-    assert current_policy() is None
+    from repro.core.config import ExecConfig
+    assert ExecConfig().resolved().policy is None
 
 
 def test_live_ticker_annotates_controller_actions(capsys):

@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.config import ExecConfig
+from repro.core.config import ExecConfig, use_config
 from repro.core.graph import StageSpec, linear_graph
 from repro.core.run import execute
 from repro.core.stage import IterSource, Stage
@@ -18,7 +18,6 @@ from repro.obs import (
     TelemetrySnapshot,
     parse_exposition,
     render_exposition,
-    use_registry,
 )
 from repro.obs.metrics import (
     N_BUCKETS,
@@ -28,7 +27,6 @@ from repro.obs.metrics import (
     bucket_index,
     bucket_upper,
     build_snapshot,
-    current_registry,
 )
 from repro.obs.snapshot import attribute_edge
 
@@ -280,10 +278,12 @@ def test_subscribers_notified_and_exceptions_swallowed():
 
 def test_use_registry_ambient():
     reg = MetricsRegistry()
-    assert current_registry() is None
-    with use_registry(reg):
-        assert current_registry() is reg
-    assert current_registry() is None
+    assert ExecConfig().resolved().metrics_registry is None
+    with use_config(metrics_registry=reg):
+        assert ExecConfig().resolved().metrics_registry is reg
+        result = execute(_graph(n=50), ExecConfig(metrics_interval=0.05))
+        assert "telemetry" in result.details
+    assert ExecConfig().resolved().metrics_registry is None
 
 
 # -- executor integration --------------------------------------------------

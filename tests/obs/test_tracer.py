@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.config import use_config
 from repro.obs import (
     CAT_QUEUE,
     CAT_STAGE,
@@ -16,7 +17,6 @@ from repro.obs import (
     chrome_trace,
     current_tracer,
     trace_summary,
-    use_tracer,
     write_chrome_trace,
     write_trace_json,
 )
@@ -59,9 +59,9 @@ def test_noop_tracer_records_nothing():
 
 def test_use_tracer_scoping():
     rec = SpanRecorder()
-    with use_tracer(rec):
+    with use_config(tracer=rec):
         assert current_tracer() is rec
-        with use_tracer(NOOP_TRACER):
+        with use_config(tracer=NOOP_TRACER):
             assert current_tracer() is NOOP_TRACER
         assert current_tracer() is rec
     assert current_tracer() is NOOP_TRACER
