@@ -9,11 +9,18 @@ share one interface (``put`` / ``put_many`` / ``get`` / ``get_many`` /
 * :class:`SpscChannel` — an array-backed single-producer/single-consumer
   ring buffer.  Monotonic ``head``/``tail`` counters published *after*
   the slot write mean the fast paths take no lock at all (the GIL
-  serializes the bytecode, giving the required ordering); the condition
-  variable is touched only when a side actually has to wait.
+  serializes the bytecode, giving the required ordering).
 * :class:`MpmcChannel` — the fallback for shared edges (multiple
   producers or consumers on one queue): a single mutex around a deque,
   with batched operations amortizing the acquire.
+
+Both wake a parked peer *once*: a hand-off nobody waits for touches no
+condition variable (the ring reads a flag, the MPMC channel a waiter
+count under its mutex), and the waker clears that mark as it notifies,
+so the items that follow while the peer gets back onto a core do not
+notify again.  Each class argues why no wake-up is lost.  The executor's
+units bind a static edge's ring ``put`` and ``get`` once, at unit start,
+so an uncontended hop is one call into this module per side.
 
 Waiting discipline, FastFlow-style:
 
@@ -116,11 +123,15 @@ class SpscChannel:
     (and symmetrically for the consumer), so under the GIL's sequential
     execution the opposite side never observes an unpublished slot.
 
-    In blocking mode a side that must wait sets its ``*_waiting`` flag
-    *before* re-checking state under the condition lock; the opposite
-    side publishes first and reads the flag second.  Either the waiter's
-    re-check sees the published update, or the publisher sees the flag
-    and notifies — a wake-up can't be lost.
+    In blocking mode a side that must wait arms its ``*_waiting`` flag
+    under the condition lock and *then* re-checks state, before every
+    ``wait()``; the opposite side publishes first and reads the flag
+    second (a Dekker pair, ordered by the GIL where FastFlow's is by a
+    write barrier).  Either the waiter's re-check sees the update, or
+    the publisher sees the flag, takes the lock (free only once the
+    waiter is inside ``wait()``), lowers the flag and notifies — a
+    wake-up can't be lost, and later publishes skip the lock until the
+    waiter re-arms.
     """
 
     __slots__ = ("_buf", "_cap", "_head", "_tail", "_abort", "_blocking",
@@ -184,13 +195,21 @@ class SpscChannel:
 
     def _park(self, ready, flag: str) -> None:
         with self._cond:
-            setattr(self, flag, True)
             try:
-                while not ready():
+                while True:
+                    setattr(self, flag, True)  # arm, then re-check
+                    if ready():
+                        return
                     self._abort.check()
                     self._cond.wait()
             finally:
                 setattr(self, flag, False)
+
+    def _wake(self, flag: str) -> None:
+        """Lower the parked side's flag and notify it, once."""
+        with self._cond:
+            setattr(self, flag, False)
+            self._cond.notify()
 
     def _wait_for_space(self) -> None:
         ready = lambda: self._tail - self._head < self._cap  # noqa: E731
@@ -216,8 +235,7 @@ class SpscChannel:
             self._wput += self._weigh(item)
         self._tail = tail + 1
         if self._get_waiting:
-            with self._cond:
-                self._cond.notify()
+            self._wake("_get_waiting")
 
     def put_many(self, items: Sequence[Any]) -> None:
         """Multi-push: write as many free slots as available per episode."""
@@ -238,8 +256,7 @@ class SpscChannel:
             self._tail = tail + take
             i += take
             if self._get_waiting:
-                with self._cond:
-                    self._cond.notify()
+                self._wake("_get_waiting")
 
     # -- consumer side -----------------------------------------------------
     def get(self) -> Any:
@@ -253,8 +270,7 @@ class SpscChannel:
             self._wgot += self._weigh(item)
         self._head = head + 1
         if self._put_waiting:
-            with self._cond:
-                self._cond.notify()
+            self._wake("_put_waiting")
         return item
 
     def get_many(self, max_n: int, stop: Any = _NO_STOP) -> List[Any]:
@@ -286,8 +302,7 @@ class SpscChannel:
             self._wgot += sum(map(self._weigh, out))
         self._head = head + len(out)
         if self._put_waiting:
-            with self._cond:
-                self._cond.notify()
+            self._wake("_put_waiting")
         return out
 
 
@@ -299,10 +314,19 @@ class MpmcChannel:
     it.  Batched operations move whole runs of items under a single
     acquire — the per-item synchronization cost the SPSC ring avoids
     structurally is amortized here instead.
+
+    ``_getters``/``_putters`` count the threads parked on each condition
+    and not yet woken.  A waiter counts itself in under the mutex just
+    before ``wait()`` releases it; every ``put``, ``put_many``, ``get``
+    and ``get_many``, in either discipline, reads the opposite count
+    under that mutex after changing the deque and notifies — counting
+    out whom it wakes — only when it is non-zero.  So no wake-up is
+    lost, and an uncontended hand-off never touches a condition.
     """
 
     __slots__ = ("_items", "_cap", "_abort", "_blocking", "_lock",
-                 "_not_empty", "_not_full", "_weigh", "_witems")
+                 "_not_empty", "_not_full", "_weigh", "_witems",
+                 "_getters", "_putters")
 
     def __init__(self, capacity: int, abort: AbortSignal,
                  blocking: bool = True, weigh=None):
@@ -315,6 +339,7 @@ class MpmcChannel:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
+        self._getters = self._putters = 0  # parked, not yet woken
         #: logical-weight hook (columnar edges); the shared-queue weight
         #: total is maintained under the channel's own mutex, so the
         #: multi-producer case needs no extra synchronization
@@ -332,96 +357,95 @@ class MpmcChannel:
             return len(self._items)
         return self._witems
 
-    def _weigh_in(self, items) -> None:
-        if self._weigh is not None:
-            self._witems += sum(map(self._weigh, items))
-
-    def _weigh_out(self, items) -> None:
-        if self._weigh is not None:
-            self._witems -= sum(map(self._weigh, items))
-
     def set_blocking(self, blocking: bool) -> bool:
         """Flip the waiting discipline live (see :meth:`SpscChannel.set_blocking`)."""
         with self._lock:
             self._blocking = blocking
+            self._getters = self._putters = 0
             self._not_empty.notify_all()
             self._not_full.notify_all()
         return True
 
+    # -- waiting (mutex held) ----------------------------------------------
+    def _wait_space(self) -> None:
+        self._abort.check()
+        self._putters += 1  # counted out by whoever wakes it
+        self._not_full.wait()
+
+    def _wait_items(self) -> None:
+        self._abort.check()
+        self._getters += 1
+        self._not_empty.wait()
+
+    def _backoff(self, spins: int) -> int:
+        spins += 1
+        if spins > _SPIN_FAST:
+            self._abort.check()
+            os.sched_yield()
+        return spins
+
     # -- producer side -----------------------------------------------------
     def put(self, item: Any) -> None:
-        if self._blocking:
-            with self._lock:
-                while len(self._items) >= self._cap:
-                    self._abort.check()
-                    self._not_full.wait()
-                self._items.append(item)
-                self._weigh_in((item,))
-                self._not_empty.notify()
-            return
         spins = 0
         while True:
             with self._lock:
-                if len(self._items) < self._cap:
+                while len(self._items) >= self._cap:
+                    if not self._blocking:
+                        break
+                    self._wait_space()
+                else:
                     self._items.append(item)
-                    self._weigh_in((item,))
+                    if self._weigh is not None:
+                        self._witems += self._weigh(item)
+                    if self._getters:
+                        self._getters -= 1
+                        self._not_empty.notify()
                     return
-            spins += 1
-            if spins > _SPIN_FAST:
-                self._abort.check()
-                os.sched_yield()
+            spins = self._backoff(spins)
 
     def put_many(self, items: Sequence[Any]) -> None:
         i, n = 0, len(items)
-        if self._blocking:
-            with self._lock:
-                while i < n:
-                    while len(self._items) >= self._cap:
-                        self._abort.check()
-                        self._not_full.wait()
-                    take = min(self._cap - len(self._items), n - i)
-                    self._items.extend(items[i:i + take])
-                    self._weigh_in(items[i:i + take])
-                    i += take
-                    self._not_empty.notify(take)
-            return
         spins = 0
         while i < n:
             with self._lock:
-                free = self._cap - len(self._items)
-                if free > 0:
+                while i < n:
+                    free = self._cap - len(self._items)
+                    if free == 0:
+                        if not self._blocking:
+                            break
+                        self._wait_space()
+                        continue
                     take = min(free, n - i)
-                    self._items.extend(items[i:i + take])
-                    self._weigh_in(items[i:i + take])
+                    run = items[i:i + take]
+                    self._items.extend(run)
+                    if self._weigh is not None:
+                        self._witems += sum(map(self._weigh, run))
                     i += take
-                    continue
-            spins += 1
-            if spins > _SPIN_FAST:
-                self._abort.check()
-                os.sched_yield()
+                    if self._getters:
+                        woken = min(take, self._getters)
+                        self._getters -= woken
+                        self._not_empty.notify(woken)
+            if i < n:
+                spins = self._backoff(spins)
 
     # -- consumer side -----------------------------------------------------
     def get(self) -> Any:
-        if self._blocking:
-            with self._lock:
-                while not self._items:
-                    self._abort.check()
-                    self._not_empty.wait()
-                item = self._items.popleft()
-                self._weigh_out((item,))
-                self._not_full.notify()
-            return item
         spins = 0
         while True:
             with self._lock:
-                if self._items:
+                while not self._items:
+                    if not self._blocking:
+                        break
+                    self._wait_items()
+                else:
                     item = self._items.popleft()
-                    self._weigh_out((item,))
+                    if self._weigh is not None:
+                        self._witems -= self._weigh(item)
+                    if self._putters:
+                        self._putters -= 1
+                        self._not_full.notify()
                     return item
-            spins += 1
-            if spins > _SPIN_FAST:
-                self._abort.check()
-                os.sched_yield()
+            spins = self._backoff(spins)
 
     def get_many(self, max_n: int, stop: Any = _NO_STOP) -> List[Any]:
         """Multi-pop under one acquire; ``stop`` only ever returned alone.
@@ -429,23 +453,21 @@ class MpmcChannel:
         On a shared queue the trailing ``stop`` sentinels belong one-per-
         consumer, so a batch never consumes past the first one it meets.
         """
-        if self._blocking:
-            with self._lock:
-                while not self._items:
-                    self._abort.check()
-                    self._not_empty.wait()
-                out = self._drain(max_n, stop)
-                self._not_full.notify(len(out))
-            return out
         spins = 0
         while True:
             with self._lock:
-                if self._items:
-                    return self._drain(max_n, stop)
-            spins += 1
-            if spins > _SPIN_FAST:
-                self._abort.check()
-                os.sched_yield()
+                while not self._items:
+                    if not self._blocking:
+                        break
+                    self._wait_items()
+                else:
+                    out = self._drain(max_n, stop)
+                    if self._putters:
+                        woken = min(len(out), self._putters)
+                        self._putters -= woken
+                        self._not_full.notify(woken)
+                    return out
+            spins = self._backoff(spins)
 
     def _drain(self, max_n: int, stop: Any) -> List[Any]:
         items = self._items
@@ -456,7 +478,8 @@ class MpmcChannel:
                     out.append(items.popleft())
                 break
             out.append(items.popleft())
-        self._weigh_out(out)
+        if self._weigh is not None:
+            self._witems -= sum(map(self._weigh, out))
         return out
 
 

@@ -36,7 +36,9 @@ exception is re-raised from :meth:`NativeExecutor.run`.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -128,14 +130,15 @@ class _ErrorBox(AbortSignal):
 
 
 class _TokenPool:
-    """Counting token gate with event-driven abort; None limit = unlimited.
+    """Counting token gate with event-driven abort; None limit = unlimited
+    (units then bind neither ``acquire`` nor ``release``).
 
     A blocked ``acquire`` parks on the pool's condition and is woken by a
     ``release`` or by the error box failing — never by a poll timeout.
     """
 
     def __init__(self, limit: Optional[int], errors: _ErrorBox):
-        self._limit = limit
+        self.limit = limit
         self._errors = errors
         if limit is not None:
             self._avail = limit
@@ -143,8 +146,6 @@ class _TokenPool:
             errors.register(self._cond)
 
     def acquire(self) -> None:
-        if self._limit is None:
-            return
         with self._cond:
             while self._avail == 0:
                 if self._errors.is_set():
@@ -153,8 +154,6 @@ class _TokenPool:
             self._avail -= 1
 
     def release(self) -> None:
-        if self._limit is None:
-            return
         with self._cond:
             self._avail += 1
             self._cond.notify()
@@ -267,6 +266,12 @@ class Edge:
         self._rr = itertools.cycle(self._rotation)
         self._tracks = ([f"q:{spec.name}"] if self._shared else
                         [f"q:{spec.name}.{i}" for i in range(n)])
+        # A static edge with one queue and nothing to sample hands every
+        # put straight to its ring: the instance attribute shadows
+        # :meth:`put` until a rewire or a tracer needs the generic path.
+        if (not self._mutable and tracer is None and n == 1
+                and self._placement is None):
+            self.put = self._channels[0].put
 
     def _new_channel(self):
         weigh = _env_weight if self.columnar else None
@@ -282,6 +287,8 @@ class Edge:
         edge it inherited, since a forked recorder would swallow events."""
         self._tracer = tracer
         self._clock = clock
+        if tracer is not None:
+            self.__dict__.pop("put", None)
 
     # -- live rewiring (autonomic controller) ----------------------------
     def set_blocking(self, blocking: bool) -> bool:
@@ -301,6 +308,7 @@ class Edge:
         with self._lock:
             if self._eos.done:
                 return None
+            self.__dict__.pop("put", None)
             self.consumers += 1
             if self._shared:
                 return self.consumers - 1
@@ -348,6 +356,7 @@ class Edge:
         with self._lock:
             if self._eos.done:
                 return False
+            self.__dict__.pop("put", None)
             if self._shared:
                 if self.consumers <= 1:
                     return False
@@ -451,6 +460,14 @@ class Edge:
                         ch.put(EOS)
 
     # consumer side ------------------------------------------------------
+    def getter(self, consumer_idx: int):
+        """One consumer's ``get``, bound at unit start: its ring's own
+        ``get`` unless a tracer samples occupancy (rewiring appends
+        queues, so a consumer's queue never changes)."""
+        if self._tracer is not None:
+            return functools.partial(self.get, consumer_idx)
+        return self._channels[0 if self._shared else consumer_idx].get
+
     def get(self, consumer_idx: int) -> Any:
         idx = 0 if self._shared else consumer_idx
         item = self._channels[idx].get()
@@ -472,21 +489,16 @@ class _Outbox:
 
     Amortizes per-envelope channel synchronization (FastFlow's
     ``multipush``); the stage loop flushes before propagating EOS so no
-    envelope is ever stranded.
+    envelope is ever stranded.  ``put_many`` is the edge's, timed when
+    observed (flushes are already 1-in-batch, so every one is timed).
     """
 
-    __slots__ = ("_edge", "_batch", "_buf", "_tr", "_clock", "_track",
-                 "_probe")
+    __slots__ = ("_put_many", "_batch", "_buf")
 
-    def __init__(self, edge: Edge, batch: int, tr=None, clock=None,
-                 track: Optional[str] = None, probe=None):
-        self._edge = edge
+    def __init__(self, put_many, batch: int):
+        self._put_many = put_many
         self._batch = batch
         self._buf: List[Any] = []
-        self._tr = tr
-        self._clock = clock
-        self._track = track
-        self._probe = probe
 
     def put(self, env: Env) -> None:
         self._buf.append(env)
@@ -498,22 +510,9 @@ class _Outbox:
         self._batch = max(1, batch)
 
     def flush(self) -> None:
-        if not self._buf:
-            return
-        buf = self._buf
-        self._buf = []
-        if self._tr is None and self._probe is None:
-            self._edge.put_many(buf)
-            return
-        # flushes are already 1-in-batch, so time every one (unsampled)
-        t0 = self._clock.now()
-        self._edge.put_many(buf)
-        t1 = self._clock.now()
-        if t1 - t0 > _MIN_WAIT:
-            if self._tr is not None:
-                self._tr.span(CAT_QUEUE, self._track, "put_wait", t0, t1)
-            if self._probe is not None:
-                self._probe.put_waited(t1 - t0)
+        if self._buf:
+            buf, self._buf = self._buf, []
+            self._put_many(buf)
 
 
 def _unpack_blocks(gen):
@@ -523,6 +522,10 @@ def _unpack_blocks(gen):
             yield from payload.to_items()
         else:
             yield payload
+
+
+def _discard(env: Env) -> None:
+    """Sink publish when outputs are neither collected nor tokened."""
 
 
 def _normalize_outputs(result: Any) -> tuple[Any, ...]:
@@ -560,6 +563,8 @@ class UnitRunner:
         self.clock = clock if clock is not None else WallClock()
         #: consumer-side multi-pop width
         self.batch = config.batch_size
+        #: a controller may widen ``batch`` live, so units bind multi-pop
+        self._tune_batch = getattr(config.policy, "tune_batch", False)
         #: producer-side buffering is exact-token-unsafe: buffered
         #: envelopes hold live tokens without making progress, which can
         #: starve the source below the flush threshold — so it is
@@ -581,6 +586,9 @@ class UnitRunner:
         #: live-rewire barrier (process backend) drain in-flight work
         self._gate = threading.Event()
         self._gate.set()
+        #: the gate's state as a plain attribute: the source reads it per
+        #: item, and ``Event.is_set`` would be a Python call each time
+        self._paused = False
 
     # -- live levers (autonomic controller) -------------------------------
     def set_batch(self, batch: int) -> bool:
@@ -594,10 +602,12 @@ class UnitRunner:
 
     def pause(self) -> None:
         """Park the source before its next item (live-rewire barrier)."""
+        self._paused = True
         self._gate.clear()
 
     def resume(self) -> None:
         self._gate.set()
+        self._paused = False
 
     def _wait_gate(self) -> None:
         while not self._gate.wait(0.05):
@@ -612,15 +622,6 @@ class UnitRunner:
             else:
                 m.merge(local)
 
-    def _make_outbox(self, out_edge: Optional[Edge], track: str,
-                     probe=None) -> Optional[_Outbox]:
-        if out_edge is None or self.outbox_batch <= 1:
-            return None
-        ob = _Outbox(out_edge, self.outbox_batch, self.tracer,
-                     self.clock, track, probe)
-        self._outboxes.append(ob)
-        return ob
-
     def _probe(self, kind: str, name: str, replicas: int = 1,
                in_edge: Optional[Edge] = None,
                out_edge: Optional[Edge] = None):
@@ -632,14 +633,61 @@ class UnitRunner:
             in_edge=in_edge.name if in_edge is not None else None,
             out_edge=out_edge.name if out_edge is not None else None)
 
+    # -- per-unit bindings ------------------------------------------------
+    def _timed(self, op, track: str, cat: str, name: str, record,
+               tick=None):
+        """``op`` itself when nothing observes it, else ``op`` with its
+        wait timed: a ``cat``/``name`` span for the tracer, ``record(dt)``
+        for the probe.  With ``tick``, the probe times only its 1-in-N
+        sampled ops while no tracer is on.  A wait that ends in EOS is
+        the stream ending, not backpressure, and is not recorded."""
+        tr, clock = self.tracer, self.clock
+        if tr is None and record is None:
+            return op
+
+        def timed(*args):
+            sample = record is not None and (tick is None or tick())
+            if tr is None and not sample:
+                return op(*args)
+            t0 = clock.now()
+            out = op(*args)
+            t1 = clock.now()
+            if t1 - t0 > _MIN_WAIT and (
+                    out[0] if type(out) is list else out) is not EOS:
+                if tr is not None:
+                    tr.span(cat, track, name, t0, t1)
+                if sample:
+                    record(t1 - t0)
+            return out
+        return timed
+
+    def _publisher(self, out_edge: Edge, probe, track: str):
+        """The unit's put and outbox, picked once at unit start: the
+        outbox when producer batching is on, else ``out_edge.put`` as it
+        reads now (a static edge's ring ``put``, or a test's seam),
+        timed while observed."""
+        outbox = None
+        if self.outbox_batch > 1:
+            outbox = _Outbox(self._timed(out_edge.put_many, track, CAT_QUEUE,
+                                         "put_wait", probe and probe.put_waited),
+                             self.outbox_batch)
+            self._outboxes.append(outbox)
+            put = outbox.put
+        else:
+            put = self._timed(out_edge.put, track, CAT_QUEUE, "put_wait",
+                              probe and probe.sampled_put_wait,
+                              probe and probe.tick_put)
+        return put, outbox
+
     # -- thread bodies ----------------------------------------------------
     def source_loop(self, src_spec: SourceSpec, out_edge: Edge) -> None:
-        tr, clock = self.tracer, self.clock
-        track = src_spec.name
-        ctx = StageContext(src_spec.name, 0, 1, tracer=tr)
+        ctx = StageContext(src_spec.name, 0, 1, tracer=self.tracer)
         src = src_spec.factory()
         probe = self._probe("source", src_spec.name, out_edge=out_edge)
-        outbox = self._make_outbox(out_edge, track, probe)
+        send, outbox = self._publisher(out_edge, probe, src_spec.name)
+        acquire = (self._timed(self.tokens.acquire, src_spec.name, CAT_TOKEN,
+                               "token_wait", probe and probe.token_waited)
+                   if self.tokens.limit is not None else None)
         seq = 0
         emits_blocks = getattr(src_spec, "emits_blocks", False)
         # block adapter shim: a block-emitting source feeding a scalar
@@ -652,7 +700,7 @@ class UnitRunner:
             if emits_blocks and not blocks_on:
                 gen = _unpack_blocks(gen)
             for payload in gen:
-                if not self._gate.is_set():
+                if self._paused:
                     self._wait_gate()
                 if blocks_on and type(payload) is ItemBlock:
                     payload.seq_start = seq
@@ -660,34 +708,9 @@ class UnitRunner:
                 else:
                     step = 1
                 env = Env(seq, (payload,))
-                # wait timing runs when tracing, or on the probe's 1-in-N
-                # sampled ops; otherwise the op goes through untimed
-                sample = probe is not None and probe.tick_put()
-                if tr is None and not sample:
-                    self.tokens.acquire()
-                    if outbox is None:
-                        out_edge.put(env)
-                    else:
-                        outbox.put(env)
-                else:
-                    t0 = clock.now()
-                    self.tokens.acquire()
-                    t1 = clock.now()
-                    if t1 - t0 > _MIN_WAIT:
-                        if tr is not None:
-                            tr.span(CAT_TOKEN, track, "token_wait", t0, t1)
-                        if sample:
-                            probe.sampled_token_wait(t1 - t0)
-                    if outbox is None:
-                        out_edge.put(env)
-                        t2 = clock.now()
-                        if t2 - t1 > _MIN_WAIT:
-                            if tr is not None:
-                                tr.span(CAT_QUEUE, track, "put_wait", t1, t2)
-                            if sample:
-                                probe.sampled_put_wait(t2 - t1)
-                    else:
-                        outbox.put(env)  # times its own flushes
+                if acquire is not None:
+                    acquire()
+                send(env)
                 if probe is not None:
                     probe.emitted(step)
                 seq += step
@@ -709,7 +732,12 @@ class UnitRunner:
 
     def stage_loop(self, unit: StageUnit, logic: Stage, in_edge: Edge,
                    out_edge: Optional[Edge]) -> None:
-        """Body for one stage worker unit of the plan."""
+        """Body for one stage worker unit of the plan.
+
+        Fetch, apply and publish are bound once, here, from plan facts
+        and the active observers (tracer, probe, outbox, multi-pop), so
+        the per-item path runs only what this unit needs.
+        """
         tr, clock = self.tracer, self.clock
         spec = unit.spec
         track = unit.track
@@ -755,45 +783,54 @@ class UnitRunner:
                 for i, n in enumerate(part_names)]
             # get-side waits belong to the head part, put-side to the tail
             probe, put_probe = part_probes[0], part_probes[-1]
+            part_metrics = [StageMetrics(name=n, replicas=unit.replicas)
+                            for n in part_names]
         else:
             probe = self._probe("stage", unit.metric_name, unit.replicas,
                                 in_edge=in_edge, out_edge=out_edge)
             put_probe = probe
-        outbox = self._make_outbox(out_edge, track, put_probe)
         # Per-thread accumulation: service metrics and sink outputs are
         # gathered locally and merged once at EOS, so the hot loop never
         # touches the shared locks.
-        if fused:
-            part_metrics = [StageMetrics(name=n, replicas=unit.replicas)
-                            for n in part_names]
         metrics = StageMetrics(name=unit.metric_name, replicas=unit.replicas)
+        n_in = n_out = 0
+        busy, smin, smax = 0.0, math.inf, 0.0
         sink: List[Env] = []
         collect = self.collect
-        inbox: deque = deque()  # pre-fetched envelopes when batch > 1
-
-        def emit(env: Env) -> None:
-            if out_edge is not None:
-                if outbox is not None:
-                    outbox.put(env)
-                else:
-                    sample = put_probe is not None and put_probe.tick_put()
-                    if tr is None and not sample:
-                        out_edge.put(env)
-                    else:
-                        t0 = clock.now()
-                        out_edge.put(env)
-                        t1 = clock.now()
-                        if t1 - t0 > _MIN_WAIT:
-                            if tr is not None:
-                                tr.span(CAT_QUEUE, track, "put_wait", t0, t1)
-                            if sample:
-                                put_probe.sampled_put_wait(t1 - t0)
-                return
+        release = self.tokens.release if self.tokens.limit is not None else None
+        outbox = None
+        if out_edge is not None:
+            publish, outbox = self._publisher(out_edge, put_probe, track)
+        elif release is None:
+            publish = sink.append if collect else _discard
+        else:
             # Last stage: collect outputs and release the token.
-            if collect:
-                sink.append(env)
-            if env.tokened:
-                self.tokens.release()
+            def publish(env: Env) -> None:
+                if collect:
+                    sink.append(env)
+                if env.tokened:
+                    release()
+
+        inbox: deque = deque()  # multi-pop: envelopes fetched, not yet handled
+        fetch = self._timed(in_edge.getter(unit.consumer_index), track,
+                            CAT_QUEUE, "get_wait",
+                            probe and probe.sampled_get_wait,
+                            probe and probe.tick_get)
+        if self.batch > 1 or self._tune_batch:
+            fetch_one = fetch
+            # multi-pop is already 1-in-batch: timed on every pull
+            get_many = self._timed(
+                functools.partial(in_edge.get_many, unit.consumer_index),
+                track, CAT_QUEUE, "get_wait", probe and probe.get_waited)
+
+            def fetch() -> Any:
+                if not inbox:
+                    # read per pull: the controller retunes the width live
+                    batch = self.batch
+                    if batch <= 1:
+                        return fetch_one()
+                    inbox.extend(get_many(batch))
+                return inbox.popleft()
 
         if fused:
             def run_parts(payloads: Sequence[Any], start: int,
@@ -827,11 +864,11 @@ class UnitRunner:
                     new_env = Env(env.seq if keep_seq else out_seq,
                                   list(outs), tokened=env.tokened)
                     out_seq += 1
-                    emit(new_env)
+                    publish(new_env)
                 elif unit.forward_empty:
-                    emit(Env(env.seq, (), tokened=env.tokened))
-                elif env.tokened:
-                    self.tokens.release()
+                    publish(Env(env.seq, (), tokened=env.tokened))
+                elif release is not None and env.tokened:
+                    release()
         elif kernel is not None:
             blocks = kernel.blocks
             # Scalar inputs may be re-packed into a fresh block only at a
@@ -882,7 +919,7 @@ class UnitRunner:
                 base = block.seq_start if keep_seq else out_seq
                 if out_block is not None and emit_blocks:
                     out_block.seq_start = base
-                    emit(Env(base, (out_block,), tokened=env.tokened))
+                    publish(Env(base, (out_block,), tokened=env.tokened))
                     out_seq += n
                     return
                 if outs is None:
@@ -892,11 +929,11 @@ class UnitRunner:
                 # still see the exact sequence tiling
                 if keep_seq:
                     for i, o in enumerate(outs):
-                        emit(Env(base + i, (o,), tokened=env.tokened))
+                        publish(Env(base + i, (o,), tokened=env.tokened))
                     out_seq += n
                 else:
                     for o in outs:
-                        emit(Env(out_seq, (o,), tokened=env.tokened))
+                        publish(Env(out_seq, (o,), tokened=env.tokened))
                         out_seq += 1
 
             def handle_kernel(env: Env, batch: List[Env]) -> None:
@@ -921,7 +958,7 @@ class UnitRunner:
                     n = len(flat)
                     _record_block(service, n, env.seq, len(batch))
                     out_block.seq_start = out_seq
-                    emit(Env(out_seq, (out_block,), tokened=True))
+                    publish(Env(out_seq, (out_block,), tokened=True))
                     out_seq += n
                     return
                 if tr is not None:
@@ -937,7 +974,7 @@ class UnitRunner:
                     metrics.record(per, n)
                     if probe is not None:
                         probe.record(per, n)
-                    emit(Env(e.seq if keep_seq else out_seq, eouts,
+                    publish(Env(e.seq if keep_seq else out_seq, eouts,
                              tokened=e.tokened))
                     out_seq += 1
 
@@ -972,33 +1009,52 @@ class UnitRunner:
                     else:
                         handle_kernel(env, [env])
         else:
+            process, perf_counter = logic.process, time.perf_counter
+            observe = None
+            if probe is not None or tr is not None:
+                def observe(service: float, n: int, seq: int) -> None:
+                    if probe is not None:
+                        # piggybacks on the apply's perf_counter pair
+                        probe.record(service, n)
+                    if tr is not None:
+                        end = clock.now()
+                        tr.span(CAT_STAGE, track, spec.name, end - service,
+                                end, args={"seq": seq})
+
             def scalar_handle(env: Env) -> None:
-                nonlocal out_seq
-                t0 = time.perf_counter()
-                outs: List[Any] = []
-                for payload in env.payloads:
-                    outs.extend(_normalize_outputs(logic.process(payload, ctx)))
-                service = time.perf_counter() - t0
-                metrics.record(service, len(outs))
-                if probe is not None:
-                    # piggybacks on the perf_counter pair above: no extra cost
-                    probe.record(service, len(outs))
-                if tr is not None:
-                    end = clock.now()
-                    tr.span(CAT_STAGE, track, spec.name, end - service, end,
-                            args={"seq": env.seq})
-                if outs:
-                    new_env = Env(env.seq if keep_seq else out_seq, outs,
-                                  tokened=env.tokened)
+                nonlocal out_seq, n_in, n_out, busy, smin, smax
+                t0 = perf_counter()
+                p = env.payloads
+                if len(p) == 1:
+                    r = process(p[0], ctx)
+                    outs = (() if r is None else
+                            r.items if type(r) is Multi else (r,))
+                else:
+                    outs = []
+                    for payload in p:
+                        outs.extend(_normalize_outputs(process(payload, ctx)))
+                service = perf_counter() - t0
+                n = len(outs)
+                n_in += 1
+                n_out += n
+                busy += service
+                if service < smin:
+                    smin = service
+                if service > smax:
+                    smax = service
+                if observe is not None:
+                    observe(service, n, env.seq)
+                if n:
+                    publish(Env(env.seq if keep_seq else out_seq, outs,
+                                tokened=env.tokened))
                     out_seq += 1
-                    emit(new_env)
                 elif unit.forward_empty:
                     # Filtered in an ordered replicated segment: forward an
                     # empty envelope so the downstream reorder point does not
                     # stall on this seq.
-                    emit(Env(env.seq, (), tokened=env.tokened))
-                elif env.tokened:
-                    self.tokens.release()
+                    publish(Env(env.seq, (), tokened=env.tokened))
+                elif release is not None and env.tokened:
+                    release()
 
             if in_blocks and getattr(spec, "accepts_blocks", False):
                 def handle(env: Env) -> None:
@@ -1010,7 +1066,7 @@ class UnitRunner:
                         return
                     block = env.payloads[0]
                     t0 = time.perf_counter()
-                    outs = _normalize_outputs(logic.process(block, ctx))
+                    outs = _normalize_outputs(process(block, ctx))
                     service = time.perf_counter() - t0
                     metrics.record_batch(service, block.count, len(outs))
                     if probe is not None:
@@ -1023,53 +1079,20 @@ class UnitRunner:
                         new_env = Env(env.seq if keep_seq else out_seq,
                                       outs, tokened=env.tokened)
                         out_seq += 1
-                        emit(new_env)
+                        publish(new_env)
                     elif unit.forward_empty:
-                        emit(Env(env.seq, (), tokened=env.tokened))
-                    elif env.tokened:
-                        self.tokens.release()
+                        publish(Env(env.seq, (), tokened=env.tokened))
+                    elif release is not None and env.tokened:
+                        release()
             else:
                 handle = scalar_handle
-
-        def next_item() -> Any:
-            # read per call: the controller retunes the width live
-            batch = self.batch
-            if batch <= 1:
-                sample = probe is not None and probe.tick_get()
-                if tr is None and not sample:
-                    return in_edge.get(unit.consumer_index)
-                t0 = clock.now()
-                item = in_edge.get(unit.consumer_index)
-                t1 = clock.now()
-                if t1 - t0 > _MIN_WAIT and item is not EOS:
-                    if tr is not None:
-                        tr.span(CAT_QUEUE, track, "get_wait", t0, t1)
-                    if sample:
-                        probe.sampled_get_wait(t1 - t0)
-                return item
-            if not inbox:
-                # multi-pop is already 1-in-batch; time it whenever either
-                # consumer is live
-                if tr is None and probe is None:
-                    inbox.extend(in_edge.get_many(unit.consumer_index, batch))
-                else:
-                    t0 = clock.now()
-                    items = in_edge.get_many(unit.consumer_index, batch)
-                    t1 = clock.now()
-                    if t1 - t0 > _MIN_WAIT and items[0] is not EOS:
-                        if tr is not None:
-                            tr.span(CAT_QUEUE, track, "get_wait", t0, t1)
-                        if probe is not None:
-                            probe.get_waited(t1 - t0)
-                    inbox.extend(items)
-            return inbox.popleft()
 
         retiring = False
         try:
             while True:
                 if retiring and not inbox:
                     break
-                item = next_item()
+                item = fetch()
                 if item is EOS:
                     break
                 if item is RETIRE:
@@ -1086,9 +1109,9 @@ class UnitRunner:
                         # Skip-marker travelling through a worker chain:
                         # pass it along untouched (no metrics, no span).
                         if keep_seq:
-                            emit(env)
-                        elif env.tokened:
-                            self.tokens.release()
+                            publish(env)
+                        elif release is not None and env.tokened:
+                            release()
                         continue
                     handle(env)
                 else:
@@ -1100,8 +1123,8 @@ class UnitRunner:
                     for ordered_env in rob.push_range(env.seq, w, env):
                         if not ordered_env.payloads:
                             # skip-marker from a filtering farm replica
-                            if ordered_env.tokened:
-                                self.tokens.release()
+                            if release is not None and ordered_env.tokened:
+                                release()
                             continue
                         handle(ordered_env)
             if rob is not None and rob.pending:
@@ -1121,11 +1144,11 @@ class UnitRunner:
                         continue
                     outs = run_parts(finals, i + 1, -1)
                     if outs:
-                        emit(Env(-1, list(outs), tokened=False))
+                        publish(Env(-1, list(outs), tokened=False))
             else:
                 final = _normalize_outputs(logic.on_end(ctx))
                 if final:
-                    emit(Env(-1, final, tokened=False))
+                    publish(Env(-1, final, tokened=False))
         except PipelineAborted:
             raise
         except BaseException as exc:
@@ -1139,10 +1162,15 @@ class UnitRunner:
                 for m in part_metrics:
                     if m.items_in:
                         self.merge_metrics(m)
-            elif metrics.items_in:
-                # a replica that saw no envelopes contributes no entry,
-                # matching the simulator's lazy metric creation
-                self.merge_metrics(metrics)
+            else:
+                if n_in:
+                    metrics.merge(StageMetrics(
+                        metrics.name, metrics.replicas, n_in, n_out, busy,
+                        smin, smax))
+                if metrics.items_in:
+                    # a replica that saw no envelopes contributes no entry,
+                    # matching the simulator's lazy metric creation
+                    self.merge_metrics(metrics)
             if sink:
                 with self._output_lock:
                     self.outputs.extend(sink)

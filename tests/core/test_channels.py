@@ -7,6 +7,7 @@ latency bar: a thread parked on a channel must observe an abort within
 25 ms, in both disciplines, on shared and per-consumer edges.
 """
 
+import sys
 import threading
 import time
 
@@ -381,6 +382,162 @@ def test_mpmc_get_many_eos_isolation_stress(seed):
         for b in batches:
             if any(x is stop for x in b):
                 assert b == [stop], f"sentinel rode in a batch: {b!r}"
+
+
+# -- wake-once: lost wake-ups fail fast, uncontended hand-offs stay lock-free --
+
+WAKE_DEADLINE = 5.0  # seconds; a lost wake-up parks a thread forever
+
+
+def _run_peers(bodies, abort):
+    """Run ``bodies`` on threads joined by one deadline; a thread still
+    parked after it is a lost wake-up, freed by ``abort`` before the
+    test fails."""
+    def guarded(body):
+        try:
+            body()
+        except Aborted:
+            pass
+
+    threads = [threading.Thread(target=guarded, args=(b,), daemon=True)
+               for b in bodies]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + WAKE_DEADLINE
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    hung = sum(t.is_alive() for t in threads)
+    if hung:
+        abort.set()
+        for t in threads:
+            t.join(1.0)
+    assert not hung, f"{hung} thread(s) still parked after {WAKE_DEADLINE} s"
+
+
+@pytest.mark.parametrize("cls,peers", [(SpscChannel, 1), (MpmcChannel, 1),
+                                       (MpmcChannel, 2)],
+                         ids=["spsc", "mpmc", "mpmc-2x2"])
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize("put_many", [False, True],
+                         ids=["put", "put_many"])
+@pytest.mark.parametrize("get_many", [False, True],
+                         ids=["get", "get_many"])
+def test_blocking_hand_off_never_loses_a_wake_up(cls, peers, capacity,
+                                                 put_many, get_many):
+    """Every mix of single and batched ops, at capacities where nearly
+    every op parks one side, delivers the whole stream before the
+    deadline — each producer's items in order, one stop per consumer."""
+    import random
+
+    abort = AbortSignal()
+    ch = _chan(cls, capacity=capacity, blocking=True, abort=abort)
+    stop = object()
+    n = 400
+    streams = [[(p, i) for i in range(n)] for p in range(peers)]
+    got: list = [[] for _ in range(peers)]
+
+    def producer(items, seed):
+        prng = random.Random(seed)
+        i = 0
+        while i < len(items):
+            k = prng.randint(1, 3) if put_many else 1
+            if put_many:
+                ch.put_many(items[i:i + k])
+            else:
+                ch.put(items[i])
+            i += k
+
+    def consumer(out):
+        while True:
+            batch = ch.get_many(3, stop=stop) if get_many else [ch.get()]
+            if batch[0] is stop:
+                assert batch == [stop]
+                return
+            out.extend(batch)
+
+    def producers():
+        _run_peers([lambda s=s, p=p: producer(s, p)
+                    for p, s in enumerate(streams)], abort)
+        for _ in range(peers):
+            ch.put(stop)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more interleavings per item
+    try:
+        _run_peers([producers] + [lambda o=o: consumer(o) for o in got],
+                   abort)
+    finally:
+        sys.setswitchinterval(interval)
+    merged = sorted(x for out in got for x in out)
+    assert merged == sorted(x for s in streams for x in s)
+    for out in got:
+        for p in range(peers):
+            mine = [i for q, i in out if q == p]
+            assert mine == sorted(mine)
+
+
+class _CountingCond:
+    """Proxy recording every use of a channel's condition variable."""
+
+    def __init__(self, cond):
+        self._cond = cond
+        self.uses: list = []
+
+    def __getattr__(self, name):
+        self.uses.append(name)
+        return getattr(self._cond, name)
+
+    def __enter__(self):
+        self.uses.append("__enter__")
+        return self._cond.__enter__()
+
+    def __exit__(self, *exc):
+        return self._cond.__exit__(*exc)
+
+
+def _count_conds(ch):
+    names = ("_cond",) if type(ch) is SpscChannel else ("_not_empty",
+                                                        "_not_full")
+    proxies = []
+    for name in names:
+        proxies.append(_CountingCond(getattr(ch, name)))
+        setattr(ch, name, proxies[-1])
+    return proxies
+
+
+@pytest.mark.parametrize("cls", CHANNELS)
+@pytest.mark.parametrize("blocking", DISCIPLINES)
+def test_hand_off_without_a_parked_peer_never_touches_the_condition(
+        cls, blocking):
+    ch = _chan(cls, capacity=4, blocking=blocking)
+    proxies = _count_conds(ch)
+    ch.put(1)
+    assert ch.get() == 1
+    ch.put_many([2, 3])
+    assert ch.get_many(4) == [2, 3]
+    assert [p.uses for p in proxies] == [[] for _ in proxies]
+
+
+@pytest.mark.parametrize("cls", CHANNELS)
+def test_parked_peer_is_notified_once(cls):
+    """Items published while a woken consumer is still getting back onto
+    a core do not notify it again."""
+    ch = _chan(cls, capacity=8)
+    proxies = _count_conds(ch)
+    got = []
+    t = threading.Thread(target=lambda: got.append(ch.get()), daemon=True)
+    t.start()
+    parked = (lambda: ch._get_waiting) if cls is SpscChannel else (
+        lambda: ch._getters == 1)
+    deadline = time.monotonic() + WAKE_DEADLINE
+    while not parked() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert parked()
+    for i in range(3):
+        ch.put(i)
+    t.join(WAKE_DEADLINE)
+    assert got == [0]
+    assert sum(p.uses.count("notify") for p in proxies) == 1
 
 
 # -- the shared-memory ring (process-backend boundary edges) -----------------
