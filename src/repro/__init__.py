@@ -20,8 +20,8 @@ bound SPar invocation)::
     result = repro.run(pipeline, mode="simulated", tracer=recorder)
 
 Self-tuning: pass a :class:`repro.control.TuningPolicy` and the runtime
-grows/shrinks farms, flips blocking↔spin and retunes batching from live
-backpressure telemetry::
+grows/shrinks farms and flips blocking↔spin from live backpressure
+telemetry::
 
     result = repro.run(pipeline, policy=repro.TuningPolicy())
 

@@ -1,9 +1,9 @@
 """repro.control — autonomic self-tuning of a running pipeline.
 
-The PR-7 API split puts everything tunable *mid-run* behind
-:class:`TuningPolicy` (replica bounds, blocking discipline, batch size,
-control-loop shape) and keeps :class:`~repro.core.config.ExecConfig`
-for static build knobs.  Pass a policy to ``repro.run(..., policy=...)``
+The API split puts everything tunable *mid-run* behind
+:class:`TuningPolicy` (replica bounds, blocking discipline, control-loop
+shape) and keeps :class:`~repro.core.config.ExecConfig` for static
+build knobs.  Pass a policy to ``repro.run(..., policy=...)``
 or install one ambiently::
 
     from repro.control import TuningPolicy
@@ -11,7 +11,7 @@ or install one ambiently::
 
     result = repro.run(pipe, policy=TuningPolicy(max_replicas=8))
 
-    with use_config(policy=TuningPolicy(tune_batch=True)):
+    with use_config(policy=TuningPolicy(tune_blocking=False)):
         repro.run(pipe)   # self-tunes without touching the config
 """
 
@@ -20,7 +20,6 @@ from repro.control.controller import (
     ControlEvent,
     Controller,
     ScaleReplicas,
-    SetBatch,
     SetBlocking,
     StageHandle,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ControlEvent",
     "Controller",
     "ScaleReplicas",
-    "SetBatch",
     "SetBlocking",
     "StageHandle",
     "TuningPolicy",

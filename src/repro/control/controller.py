@@ -2,11 +2,11 @@
 
 Closes the loop the obs layer opened: subscribe to
 :class:`~repro.obs.snapshot.TelemetrySnapshot` windows, read the
-per-edge producer-limited/consumer-limited attribution, and actuate the
-three levers the paper identifies as the programmer's tuning burden —
-farm replica counts, blocking↔spin wait discipline, and the producer
-batch size.  FastFlow's adaptivity line (TR-10-03) is the precedent:
-the *runtime* keeps the pipeline at the knee of the throughput curve.
+per-edge producer-limited/consumer-limited attribution, and actuate two
+levers of the programmer's tuning burden the paper identifies — farm
+replica counts and the blocking↔spin wait discipline.  FastFlow's
+adaptivity line (TR-10-03) is the precedent: the *runtime* keeps the
+pipeline at the knee of the throughput curve.
 
 Decision core (:meth:`Controller.decide`) is a pure function of the
 snapshot plus small per-target streak counters, so it unit-tests on
@@ -20,8 +20,8 @@ guards:
   pipeline time to exhibit the new configuration before being judged
   again.
 
-At most one action fires per window (replicas beat blocking beat
-batch), which keeps cause and effect attributable in the trace.
+At most one action fires per window (replicas beat blocking), which
+keeps cause and effect attributable in the trace.
 
 Actuation goes through a backend-specific :class:`Actuator` (built by
 each executor); a lever whose actuation fails is disabled for the rest
@@ -41,10 +41,6 @@ from repro.obs.tracer import CAT_CONTROL, Tracer
 #: this fraction of ``policy.spin_throughput`` (asymmetric thresholds
 #: are themselves a flap guard)
 _SPIN_EXIT_FRACTION = 0.5
-
-#: halve the batch when the bottleneck's median service exceeds this
-#: multiple of ``policy.batch_service_ceiling``
-_BATCH_EXIT_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,7 @@ class SetBlocking:
     blocking: bool       #: True = park on a condition, False = spin
 
 
-@dataclass(frozen=True)
-class SetBatch:
-    batch: int
-
-
-Action = Any  # ScaleReplicas | SetBlocking | SetBatch
+Action = Any  # ScaleReplicas | SetBlocking
 
 
 @dataclass
@@ -84,9 +75,9 @@ class ControlEvent:
 
     seq: int             #: snapshot sequence number that triggered it
     t: float             #: window end time on the run clock
-    action: str          #: "scale_up" | "scale_down" | "set_blocking" | "set_batch"
-    target: str          #: stage or edge name ("" for global batch)
-    value: Any           #: applied delta / new discipline / new batch
+    action: str          #: "scale_up" | "scale_down" | "set_blocking"
+    target: str          #: stage or edge name
+    value: Any           #: applied delta / new discipline
     applied: bool
     detail: Dict[str, Any] = field(default_factory=dict)
 
@@ -100,17 +91,15 @@ class Actuator(Protocol):
     """What a backend must expose for the controller to drive it.
 
     ``scale`` returns the replica delta actually applied (0 = refused,
-    e.g. the edge already saw EOS).  ``set_blocking``/``set_batch``
-    return False when the backend cannot actuate that lever (the
-    controller then disables it for the run).
+    e.g. the edge already saw EOS).  ``set_blocking`` returns False when
+    the backend cannot actuate that lever (the controller then disables
+    it for the run).
     """
 
     def stage_handles(self) -> Dict[str, StageHandle]: ...
     def scale(self, stage: str, delta: int) -> int: ...
     def edge_blocking(self) -> Dict[str, bool]: ...
     def set_blocking(self, edge: str, blocking: bool) -> bool: ...
-    def batch(self) -> int: ...
-    def set_batch(self, batch: int) -> bool: ...
 
 
 class Controller:
@@ -130,8 +119,6 @@ class Controller:
         self._down: Dict[str, int] = {}    # stage -> idle streak
         self._spin: Dict[str, int] = {}    # edge -> wants-spin streak
         self._block: Dict[str, int] = {}   # edge -> wants-blocking streak
-        self._batch_up = 0
-        self._batch_down = 0
         # levers that failed to actuate on this backend, disabled for
         # the rest of the run
         self._dead_levers: set = set()
@@ -164,8 +151,6 @@ class Controller:
                     if self.policy.tune_blocking
                     and "blocking" not in self._dead_levers else {})
         self._update_blocking_streaks(snap, blocking)
-        if self.policy.tune_batch and "batch" not in self._dead_levers:
-            self._update_batch_streaks(snap)
         if self._cooldown > 0:
             self._cooldown -= 1
             return []
@@ -196,13 +181,6 @@ class Controller:
             block = [e for e, s in self._block.items() if s >= need]
             if block:
                 return [SetBlocking(sorted(block)[0], True)]
-        # 3. batch size
-        if self.policy.tune_batch and "batch" not in self._dead_levers:
-            cur = self.actuator.batch()
-            if self._batch_up >= need and cur < self.policy.max_batch:
-                return [SetBatch(min(self.policy.max_batch, cur * 2))]
-            if self._batch_down >= need and cur > self.policy.min_batch:
-                return [SetBatch(max(self.policy.min_batch, cur // 2))]
         return []
 
     # -- streak updates --------------------------------------------------
@@ -248,33 +226,12 @@ class Controller:
                 self._spin[edge] = 0
                 self._block[edge] = 0
 
-    def _update_batch_streaks(self, snap: TelemetrySnapshot) -> None:
-        bn = snap.stages.get(snap.bottleneck) if snap.bottleneck else None
-        if bn is None:
-            self._batch_up = 0
-            self._batch_down = 0
-            return
-        waiting = any(ew.attribution != "balanced"
-                      for ew in snap.edges.values())
-        if bn.service_p50 <= self.policy.batch_service_ceiling and waiting:
-            self._batch_up += 1
-            self._batch_down = 0
-        elif bn.service_p50 > (self.policy.batch_service_ceiling
-                               * _BATCH_EXIT_FACTOR):
-            self._batch_down += 1
-            self._batch_up = 0
-        else:
-            self._batch_up = 0
-            self._batch_down = 0
-
     def _reset_streaks(self) -> None:
         # the topology just changed under every signal; start fresh
         self._up.clear()
         self._down.clear()
         self._spin.clear()
         self._block.clear()
-        self._batch_up = 0
-        self._batch_down = 0
 
     # -- actuation -------------------------------------------------------
     def _apply(self, snap: TelemetrySnapshot, action: Action) -> ControlEvent:
@@ -306,16 +263,6 @@ class Controller:
                 self._dead_levers.add("blocking")
             return ControlEvent(snap.seq, t, "set_blocking", action.edge,
                                 "blocking" if action.blocking else "spin", ok)
-        if isinstance(action, SetBatch):
-            try:
-                ok = self.actuator.set_batch(action.batch)
-            except Exception as err:
-                self._dead_levers.add("batch")
-                return ControlEvent(snap.seq, t, "set_batch", "",
-                                    action.batch, False, {"error": repr(err)})
-            if not ok:
-                self._dead_levers.add("batch")
-            return ControlEvent(snap.seq, t, "set_batch", "", action.batch, ok)
         raise TypeError(f"unknown action: {action!r}")  # pragma: no cover
 
     def _record(self, ev: ControlEvent) -> None:
@@ -338,7 +285,6 @@ class Controller:
                 "replicas", {n: h.replicas for n, h in handles.items()})
             self.registry.set_control_state(
                 "blocking", dict(self.actuator.edge_blocking()))
-            self.registry.set_control_state("batch", self.actuator.batch())
         except Exception:
             pass
 

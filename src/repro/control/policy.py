@@ -2,11 +2,11 @@
 
 :class:`~repro.core.config.ExecConfig` keeps the static build knobs
 (graph mode, queue capacity, worker backend — anything baked into the
-plan) and the initial values of the two transport knobs the controller
-retunes, ``blocking`` and ``batch_size``.  This policy holds the rest:
+plan, ``batch_size`` included) and the initial value of the transport
+knob the controller retunes, ``blocking``.  This policy holds the rest:
 which levers the controller may pull (replica bounds, the
-blocking↔spin discipline, the hand-off batch) and the control-loop
-shape (window, hysteresis, cooldown).
+blocking↔spin discipline) and the control-loop shape (window,
+hysteresis, cooldown).
 
 A policy is immutable; pass one to ``repro.run(..., policy=...)`` or
 install it ambiently with ``repro.core.config.use_config(policy=...)``.
@@ -23,7 +23,7 @@ from typing import Optional
 class TuningPolicy:
     """What the controller may touch, how far, and how cautiously.
 
-    The three levers (mirroring the tuning burden the paper attributes
+    The two levers (mirroring the tuning burden the paper attributes
     to the programmer):
 
     * **replicas** — grow a farm on sustained consumer-limited input,
@@ -32,10 +32,7 @@ class TuningPolicy:
       global defaults);
     * **blocking** — flip an edge to spin-waiting when its consumer
       sustains ``spin_throughput`` items/s (wake latency dominates), and
-      back to blocking when the rate collapses;
-    * **batch** — double/halve the producer hand-off batch while stage
-      service times are small enough for per-item channel overhead to
-      matter.
+      back to blocking when the rate collapses.
 
     ``hysteresis_windows`` consecutive agreeing windows are required
     before any action, and ``cooldown_windows`` are skipped after one,
@@ -50,10 +47,6 @@ class TuningPolicy:
     low_utilization: float = 0.25  #: per-replica busy share => "idle"
     tune_blocking: bool = True
     spin_throughput: float = 2000.0  #: items/s above which spin pays off
-    tune_batch: bool = False
-    min_batch: int = 1
-    max_batch: int = 64
-    batch_service_ceiling: float = 1e-4  #: batch only helps fast stages
 
     # -- control-loop shape ---------------------------------------------
     #: snapshot window in seconds; None inherits ExecConfig.metrics_interval
@@ -73,11 +66,6 @@ class TuningPolicy:
         if not (0.0 <= self.low_utilization <= 1.0):
             raise ValueError(
                 f"low_utilization must be in [0, 1]: {self.low_utilization}")
-        if self.min_batch < 1:
-            raise ValueError(f"min_batch must be >= 1: {self.min_batch}")
-        if self.max_batch < self.min_batch:
-            raise ValueError(
-                f"max_batch ({self.max_batch}) < min_batch ({self.min_batch})")
         if self.window is not None and self.window <= 0:
             raise ValueError(f"window must be positive: {self.window}")
         if self.hysteresis_windows < 1:

@@ -540,9 +540,8 @@ class ShmChannel:
     the live-metrics gauges and the tracer's occupancy tracks sample.
     Messages are *frames*: a 4-byte little-endian payload length, a
     4-byte item count, then the payload; one frame carries one pickled
-    batch of envelopes (the process executor reuses
-    ``ExecConfig.batch_size`` to size batches, so the per-frame pickle +
-    copy cost is amortized exactly like the in-process multi-push).
+    object (the process executor writes one envelope per frame, and a
+    consumer's multi-pop reads the frames already present).
 
     The SPSC discipline matches :class:`SpscChannel`: each side owns one
     counter, and the producer publishes ``tail`` only after the whole
@@ -657,7 +656,7 @@ class ShmChannel:
         if need > self._cap:
             raise ValueError(
                 f"frame of {need} bytes exceeds shm channel capacity "
-                f"{self._cap}; raise shm_capacity_bytes or lower batch_size"
+                f"{self._cap}"
             )
         tail = self._load(0)
         self._wait(lambda: tail - self._load(8) + need <= self._cap)
@@ -716,7 +715,7 @@ class ShmChannel:
         if need > self._cap:
             raise ValueError(
                 f"frame of {need} bytes exceeds shm channel capacity "
-                f"{self._cap}; raise shm_capacity_bytes or lower batch_size"
+                f"{self._cap}"
             )
         tail = self._load(0)
         self._wait(lambda: tail - self._load(8) + need <= self._cap)

@@ -3,9 +3,9 @@
 :class:`ExecConfig` holds the **static build knobs** — anything baked
 into the plan or the channel wiring before the first item flows (mode,
 queue capacity, worker backend, machine model, observability
-attachments) — plus the *initial* values of the two transport knobs the
-autonomic controller may retune mid-run, ``blocking`` and
-``batch_size``.  Everything else the controller may change (replica
+attachments, ``batch_size``) — plus the *initial* value of the transport
+knob the autonomic controller may retune mid-run, ``blocking``.
+Everything else the controller may change (replica
 bounds, lever enables, control-loop shape) lives on
 :class:`repro.control.TuningPolicy`, passed as ``policy=``.
 
@@ -126,11 +126,11 @@ class ExecConfig:
     #: a bool or ``"blocking"``/``"spin"``.  *Initial* value only when a
     #: :class:`~repro.control.TuningPolicy` tunes the discipline live.
     blocking: Union[bool, str] = True
-    #: FastFlow-style multi-push/multi-pop: producers hand envelopes to a
-    #: channel in groups of up to this many, and consumers drain what is
-    #: available in one synchronization episode.  1 disables batching.
-    #: Native-mode only; the simulator's hand-off semantics are unchanged.
-    #: *Initial* value only when a policy tunes the batch live.
+    #: Consumer-side multi-pop width: a stage drains up to this many
+    #: envelopes its queue already holds in one synchronization episode
+    #: (producers never hold an envelope back), and a batch kernel sees
+    #: what one drain fetched.  1 disables batching.  Native-mode only;
+    #: the simulator's hand-off semantics are unchanged.
     batch_size: int = 1
     #: native worker hosting: ``"thread"`` runs every plan unit on a
     #: Python thread (all stages share one GIL); ``"process"`` lowers

@@ -9,8 +9,9 @@ Hand-offs ride the purpose-built channels of :mod:`repro.core.channel`:
 SPSC ring buffers wherever the plan proves single-producer/single-
 consumer access (the common case), a lock-minimal MPMC fallback on
 shared edges, with FastFlow's blocking vs spinning disciplines selected
-by ``ExecConfig.blocking`` and multi-push/multi-pop batching by
-``ExecConfig.batch_size``.
+by ``ExecConfig.blocking``.  Batching is consumer-side only: a stage
+drains up to ``ExecConfig.batch_size`` envelopes its queue already holds
+in one multi-pop, and a producer never holds an envelope back.
 
 Internal protocol: payloads travel in :class:`Env` envelopes —
 ``(seq, payloads_tuple)``.  Every stage consumes one envelope and emits
@@ -85,9 +86,9 @@ class Env:
 
     __slots__ = ("seq", "payloads", "tokened")
 
-    def __init__(self, seq: int, payloads: Sequence[Any], tokened: bool = True):
+    def __init__(self, seq: int, payloads: tuple, tokened: bool = True):
         self.seq = seq
-        self.payloads = tuple(payloads)
+        self.payloads = payloads  # callers build tuples
         self.tokened = tokened
 
     def __reduce__(self):
@@ -135,6 +136,9 @@ class _TokenPool:
 
     A blocked ``acquire`` parks on the pool's condition and is woken by a
     ``release`` or by the error box failing — never by a poll timeout.
+    The one acquirer (the source) raises ``_parked`` under the condition
+    before it waits, so a ``release`` notifies only when someone is
+    parked and the rest pay no ``notify``.
     """
 
     def __init__(self, limit: Optional[int], errors: _ErrorBox):
@@ -143,6 +147,7 @@ class _TokenPool:
         if limit is not None:
             self._avail = limit
             self._cond = threading.Condition()
+            self._parked = False
             errors.register(self._cond)
 
     def acquire(self) -> None:
@@ -150,13 +155,16 @@ class _TokenPool:
             while self._avail == 0:
                 if self._errors.is_set():
                     raise PipelineAborted()
+                self._parked = True
                 self._cond.wait()
             self._avail -= 1
 
     def release(self) -> None:
         with self._cond:
             self._avail += 1
-            self._cond.notify()
+            if self._parked:
+                self._parked = False
+                self._cond.notify()
 
 
 class _EosCount:
@@ -419,24 +427,6 @@ class Edge:
         if self._tracer is not None:
             self._sample(idx)
 
-    def put_many(self, items: Sequence[Any]) -> None:
-        """Multi-push: one synchronization episode per destination queue."""
-        if self._shared or len(self._channels) == 1:
-            self._channels[0].put_many(items)
-            if self._tracer is not None:
-                self._sample(0)
-        else:
-            buckets: dict[int, List[Any]] = {}
-            for item in items:
-                buckets.setdefault(self._route(item), []).append(item)
-            for idx, bucket in buckets.items():
-                self._channels[idx].put_many(bucket)
-                if self._tracer is not None:
-                    self._sample(idx)
-        if self._pending_retire:
-            with self._lock:
-                self._drain_retires()
-
     def put_eos(self) -> None:
         """Called once per producer; last producer releases the consumers.
 
@@ -484,37 +474,6 @@ class Edge:
         return items
 
 
-class _Outbox:
-    """Producer-side multi-push: buffer envelopes, flush as one hand-off.
-
-    Amortizes per-envelope channel synchronization (FastFlow's
-    ``multipush``); the stage loop flushes before propagating EOS so no
-    envelope is ever stranded.  ``put_many`` is the edge's, timed when
-    observed (flushes are already 1-in-batch, so every one is timed).
-    """
-
-    __slots__ = ("_put_many", "_batch", "_buf")
-
-    def __init__(self, put_many, batch: int):
-        self._put_many = put_many
-        self._batch = batch
-        self._buf: List[Any] = []
-
-    def put(self, env: Env) -> None:
-        self._buf.append(env)
-        if len(self._buf) >= self._batch:
-            self.flush()
-
-    def set_batch(self, batch: int) -> None:
-        """Live retune (autonomic controller); next put sees the new width."""
-        self._batch = max(1, batch)
-
-    def flush(self) -> None:
-        if self._buf:
-            buf, self._buf = self._buf, []
-            self._put_many(buf)
-
-
 def _unpack_blocks(gen):
     """Adapter: flatten a block-emitting source to a scalar item stream."""
     for payload in gen:
@@ -541,12 +500,11 @@ class UnitRunner:
     """Executes plan units against a set of edges, in one process.
 
     Owns everything the unit loops share: the token gate, per-run metric
-    and sink-output accumulators, the tracer/clock pair and the batching
-    knobs.  The thread backend uses a single runner for the whole plan;
-    the process backend uses one runner in the parent (source, sink,
-    sequencers, pinned stages) and one inside each worker process (the
-    shipped farm-replica chains, with a no-op token pool — tokens are
-    parent-side state).
+    and sink-output accumulators and the tracer/clock pair.  The thread
+    backend uses a single runner for the whole plan; the process backend
+    uses one runner in the parent (source, sink, sequencers, pinned
+    stages) and one inside each worker process (the shipped farm-replica
+    chains, with a no-op token pool — tokens are parent-side state).
     """
 
     def __init__(self, config: ExecConfig, errors: _ErrorBox,
@@ -561,15 +519,6 @@ class UnitRunner:
         #: skip all probe work when this is None
         self.metrics_registry = metrics
         self.clock = clock if clock is not None else WallClock()
-        #: consumer-side multi-pop width
-        self.batch = config.batch_size
-        #: a controller may widen ``batch`` live, so units bind multi-pop
-        self._tune_batch = getattr(config.policy, "tune_batch", False)
-        #: producer-side buffering is exact-token-unsafe: buffered
-        #: envelopes hold live tokens without making progress, which can
-        #: starve the source below the flush threshold — so it is
-        #: disabled whenever a token gate is active (multi-pop stays on).
-        self.outbox_batch = 1 if config.max_tokens is not None else self.batch
         self.collect = (config.collect_outputs if collect_outputs is None
                         else collect_outputs)
         #: the plan proved the sink accepts blocks: last-stage kernels may
@@ -580,8 +529,6 @@ class UnitRunner:
         self.outputs: List[Env] = []
         self._output_lock = threading.Lock()
         self.items_emitted = 0
-        #: live outboxes, so a batch retune reaches producer-side buffers
-        self._outboxes: List[_Outbox] = []
         #: pause gate: cleared parks the source between items, letting a
         #: live-rewire barrier (process backend) drain in-flight work
         self._gate = threading.Event()
@@ -590,16 +537,7 @@ class UnitRunner:
         #: item, and ``Event.is_set`` would be a Python call each time
         self._paused = False
 
-    # -- live levers (autonomic controller) -------------------------------
-    def set_batch(self, batch: int) -> bool:
-        """Retune batching live; running loops read it per pull/flush."""
-        self.batch = max(1, batch)
-        if self.config.max_tokens is None:
-            self.outbox_batch = self.batch
-            for ob in self._outboxes:
-                ob.set_batch(self.batch)
-        return True
-
+    # -- live-rewire barrier (process backend) ----------------------------
     def pause(self) -> None:
         """Park the source before its next item (live-rewire barrier)."""
         self._paused = True
@@ -662,29 +600,19 @@ class UnitRunner:
         return timed
 
     def _publisher(self, out_edge: Edge, probe, track: str):
-        """The unit's put and outbox, picked once at unit start: the
-        outbox when producer batching is on, else ``out_edge.put`` as it
-        reads now (a static edge's ring ``put``, or a test's seam),
+        """The unit's put, picked once at unit start: ``out_edge.put`` as
+        it reads now (a static edge's ring ``put``, or a test's seam),
         timed while observed."""
-        outbox = None
-        if self.outbox_batch > 1:
-            outbox = _Outbox(self._timed(out_edge.put_many, track, CAT_QUEUE,
-                                         "put_wait", probe and probe.put_waited),
-                             self.outbox_batch)
-            self._outboxes.append(outbox)
-            put = outbox.put
-        else:
-            put = self._timed(out_edge.put, track, CAT_QUEUE, "put_wait",
-                              probe and probe.sampled_put_wait,
-                              probe and probe.tick_put)
-        return put, outbox
+        return self._timed(out_edge.put, track, CAT_QUEUE, "put_wait",
+                           probe and probe.sampled_put_wait,
+                           probe and probe.tick_put)
 
     # -- thread bodies ----------------------------------------------------
     def source_loop(self, src_spec: SourceSpec, out_edge: Edge) -> None:
         ctx = StageContext(src_spec.name, 0, 1, tracer=self.tracer)
         src = src_spec.factory()
         probe = self._probe("source", src_spec.name, out_edge=out_edge)
-        send, outbox = self._publisher(out_edge, probe, src_spec.name)
+        send = self._publisher(out_edge, probe, src_spec.name)
         acquire = (self._timed(self.tokens.acquire, src_spec.name, CAT_TOKEN,
                                "token_wait", probe and probe.token_waited)
                    if self.tokens.limit is not None else None)
@@ -726,8 +654,6 @@ class UnitRunner:
         finally:
             with self._metrics_lock:
                 self.items_emitted = seq
-            if outbox is not None:
-                outbox.flush()
             out_edge.put_eos()
 
     def stage_loop(self, unit: StageUnit, logic: Stage, in_edge: Edge,
@@ -735,7 +661,7 @@ class UnitRunner:
         """Body for one stage worker unit of the plan.
 
         Fetch, apply and publish are bound once, here, from plan facts
-        and the active observers (tracer, probe, outbox, multi-pop), so
+        and the active observers (tracer, probe, multi-pop), so
         the per-item path runs only what this unit needs.
         """
         tr, clock = self.tracer, self.clock
@@ -798,9 +724,8 @@ class UnitRunner:
         sink: List[Env] = []
         collect = self.collect
         release = self.tokens.release if self.tokens.limit is not None else None
-        outbox = None
         if out_edge is not None:
-            publish, outbox = self._publisher(out_edge, put_probe, track)
+            publish = self._publisher(out_edge, put_probe, track)
         elif release is None:
             publish = sink.append if collect else _discard
         else:
@@ -812,25 +737,22 @@ class UnitRunner:
                     release()
 
         inbox: deque = deque()  # multi-pop: envelopes fetched, not yet handled
-        fetch = self._timed(in_edge.getter(unit.consumer_index), track,
-                            CAT_QUEUE, "get_wait",
-                            probe and probe.sampled_get_wait,
-                            probe and probe.tick_get)
-        if self.batch > 1 or self._tune_batch:
-            fetch_one = fetch
+        if self.config.batch_size > 1:
             # multi-pop is already 1-in-batch: timed on every pull
             get_many = self._timed(
-                functools.partial(in_edge.get_many, unit.consumer_index),
+                functools.partial(in_edge.get_many, unit.consumer_index,
+                                  self.config.batch_size),
                 track, CAT_QUEUE, "get_wait", probe and probe.get_waited)
 
             def fetch() -> Any:
                 if not inbox:
-                    # read per pull: the controller retunes the width live
-                    batch = self.batch
-                    if batch <= 1:
-                        return fetch_one()
-                    inbox.extend(get_many(batch))
+                    inbox.extend(get_many())
                 return inbox.popleft()
+        else:
+            fetch = self._timed(in_edge.getter(unit.consumer_index), track,
+                                CAT_QUEUE, "get_wait",
+                                probe and probe.sampled_get_wait,
+                                probe and probe.tick_get)
 
         if fused:
             def run_parts(payloads: Sequence[Any], start: int,
@@ -862,7 +784,7 @@ class UnitRunner:
                 outs = run_parts(env.payloads, 0, env.seq)
                 if outs:
                     new_env = Env(env.seq if keep_seq else out_seq,
-                                  list(outs), tokened=env.tokened)
+                                  tuple(outs), tokened=env.tokened)
                     out_seq += 1
                     publish(new_env)
                 elif unit.forward_empty:
@@ -969,7 +891,7 @@ class UnitRunner:
                 ofs = 0
                 for e in batch:
                     n = len(e.payloads)
-                    eouts = list(outs[ofs:ofs + n])
+                    eouts = tuple(outs[ofs:ofs + n])
                     ofs += n
                     metrics.record(per, n)
                     if probe is not None:
@@ -1030,9 +952,9 @@ class UnitRunner:
                     outs = (() if r is None else
                             r.items if type(r) is Multi else (r,))
                 else:
-                    outs = []
+                    outs = ()
                     for payload in p:
-                        outs.extend(_normalize_outputs(process(payload, ctx)))
+                        outs += _normalize_outputs(process(payload, ctx))
                 service = perf_counter() - t0
                 n = len(outs)
                 n_in += 1
@@ -1144,7 +1066,7 @@ class UnitRunner:
                         continue
                     outs = run_parts(finals, i + 1, -1)
                     if outs:
-                        publish(Env(-1, list(outs), tokened=False))
+                        publish(Env(-1, tuple(outs), tokened=False))
             else:
                 final = _normalize_outputs(logic.on_end(ctx))
                 if final:
@@ -1174,8 +1096,6 @@ class UnitRunner:
             if sink:
                 with self._output_lock:
                     self.outputs.extend(sink)
-            if outbox is not None:
-                outbox.flush()
             if out_edge is not None:
                 out_edge.put_eos()
 
@@ -1395,12 +1315,6 @@ class _NativeActuator:
             if ok:
                 self._blocking[edge] = blocking
             return ok
-
-    def batch(self) -> int:
-        return self._runner.batch
-
-    def set_batch(self, batch: int) -> bool:
-        return self._runner.set_batch(batch)
 
     # -- internals (called with the lock held) ---------------------------
     def _grow(self, st: _ElasticState) -> bool:

@@ -63,7 +63,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.control.controller import Controller
 from repro.core.channel import ShmAbortFlag, ShmChannel
@@ -149,32 +149,33 @@ class _ProcErrorBox(_ErrorBox):
 class _Frames:
     """One boundary queue: envelopes framed onto a :class:`ShmChannel`.
 
-    ``put`` writes a one-envelope frame and ``put_many`` one frame per
-    bucket, so the pickle + copy is amortized like the in-process
-    multi-push.  Frames use the protocol-5 out-of-band format
-    (:meth:`ShmChannel.put_obj`): an ItemBlock's numpy columns are
-    gathered straight into the ring.  A read unpacks a whole frame into
-    this process's inbox — each forked copy owns its deque, and a queue
-    has one reading process — and ``get_many`` keeps the in-process
-    contract that its ``stop`` sentinel arrives alone.
+    ``put`` writes a one-envelope frame.  Frames use the protocol-5
+    out-of-band format (:meth:`ShmChannel.put_obj`): an ItemBlock's numpy
+    columns are gathered straight into the ring.  A read unpacks a whole
+    frame into this process's inbox — each forked copy owns its deque,
+    and a queue has one reading process — and ``get_many`` keeps the
+    in-process contract that its ``stop`` sentinel arrives alone.  On a
+    ring with one consumer (``exclusive``), ``get_many`` also takes the
+    frames already in the ring, up to ``max_n``, without waiting — the
+    in-process multi-pop's "drain what is there".  A shared ring reads
+    one frame per call: a sibling could take the frame between the
+    check and the read, which would then block with items in hand.
     """
 
-    __slots__ = ("ring", "_weigh", "_inbox")
+    __slots__ = ("ring", "_weigh", "_inbox", "_exclusive")
 
-    def __init__(self, ring: ShmChannel, weigh=None) -> None:
+    def __init__(self, ring: ShmChannel, weigh=None,
+                 exclusive: bool = True) -> None:
         self.ring = ring
         #: columnar edges count logical items per frame, so the shm
         #: occupancy gauges stay comparable with the fast path off
         self._weigh = weigh
         self._inbox: deque = deque()
+        self._exclusive = exclusive
 
     def put(self, item: Any) -> None:
         self.ring.put_obj([item], 1 if self._weigh is None
                           else self._weigh(item))
-
-    def put_many(self, items: Sequence[Any]) -> None:
-        self.ring.put_obj(list(items), len(items) if self._weigh is None
-                          else sum(map(self._weigh, items)))
 
     def get(self) -> Any:
         if not self._inbox:
@@ -182,9 +183,13 @@ class _Frames:
         return self._inbox.popleft()
 
     def get_many(self, max_n: int, stop: Any) -> List[Any]:
-        inbox = self._inbox
+        inbox, ring = self._inbox, self.ring
         if not inbox:
-            inbox.extend(self.ring.get_obj())
+            inbox.extend(ring.get_obj())
+        if self._exclusive:
+            while (len(inbox) < max_n and inbox[-1] is not stop
+                   and ring.qsize_bytes()):
+                inbox.extend(ring.get_obj())
         out: List[Any] = []
         while inbox and len(out) < max_n:
             if inbox[0] is stop:
@@ -235,7 +240,7 @@ class ShmBinding:
         ring = ShmChannel(_SHM_RING_BYTES, self._flag, blocking,
                           producer_lock=plock, consumer_lock=clock)
         self._rings.append(ring)
-        return _Frames(ring, weigh)
+        return _Frames(ring, weigh, exclusive=clock is None)
 
     def eos_count(self, producers: int) -> _EosCount:
         mp = self._mp
@@ -470,7 +475,7 @@ class _ProcActuator(_NativeActuator):
     boundary through the shared-memory EOS counter.
 
     Only farms whose every replica actually shipped (and whose boundary
-    edges are shm rings) are scalable here; blocking/batch retuning
+    edges are shm rings) are scalable here; blocking retuning
     applies to the parent-held ends of every edge.
     """
 

@@ -15,9 +15,10 @@ the process then sleeps for that long.
 Per-hop costs: every queue push/pop charges the machine's ``queue_op_s``;
 blocking (non-spinning) queues add a wake-up latency on hand-offs that
 actually had to wait, matching FastFlow's blocking vs non-blocking modes.
-``ExecConfig.batch_size`` is a native-transport knob only: the simulator
-keeps per-envelope hand-off semantics (and costs) unchanged, so a
-batched native run and a simulated run still produce identical streams.
+``ExecConfig.batch_size`` (the native consumers' multi-pop width) is a
+native-transport knob only: the simulator keeps per-envelope hand-off
+semantics (and costs) unchanged, so a batched native run and a simulated
+run still produce identical streams.
 The same holds for columnar block transport (``ExecConfig.columnar``):
 the simulator unpacks block-emitting sources to per-item envelopes and
 never forms :class:`~repro.core.items.ItemBlock` payloads, so a columnar
@@ -262,14 +263,6 @@ class _SimActuator:
         if ok:
             self._blocking[edge] = blocking
         return ok
-
-    def batch(self) -> int:
-        return self._ex.config.batch_size
-
-    def set_batch(self, batch: int) -> bool:
-        # batching is a native-transport knob; the simulator keeps
-        # per-envelope hand-off semantics, so this lever does not apply
-        return False
 
     # -- internals -------------------------------------------------------
     def _grow(self, st: _ElasticState) -> bool:
@@ -550,7 +543,8 @@ class SimExecutor:
                     probe.record(service, len(outs))
                 segments.append((tid, spec.name, service))
             if outs:
-                ne = Env(env.seq if keep_seq else out_seq, outs, tokened=env.tokened)
+                ne = Env(env.seq if keep_seq else out_seq, tuple(outs),
+                         tokened=env.tokened)
                 out_seq += 1
                 return segments, ne
             if unit.forward_empty:
@@ -685,7 +679,7 @@ class SimExecutor:
                     if not payloads:
                         break
                 if payloads:
-                    yield from emit(Env(-1, list(payloads), tokened=False))
+                    yield from emit(Env(-1, tuple(payloads), tokened=False))
         else:
             cursor = self._make_cursor(tid)
             ctx.cursor = cursor

@@ -1,14 +1,15 @@
 """Batch-vectorization pass: lower flagged stages to batch kernels.
 
 A vectorized stage consumes a whole ``get_many`` batch per call instead
-of item-at-a-time, which turns ``ExecConfig.batch_size`` from a hand-off
-amortizer into a real compute-granularity knob (the numpy/GPU-shaped
-input the simulated accelerator path wants).
+of item-at-a-time: each call takes what the stage's input queue already
+held, up to ``ExecConfig.batch_size``, so the width follows backlog (the
+numpy/GPU-shaped input the simulated accelerator path wants) without a
+producer ever holding an item back.
 
 Kernels are compiled once through a keyed cache — the key is the user's
 kernel callable, or the stage class for ``process_batch`` stages — so a
-controller flipping ``batch_size`` mid-run only changes how many items
-each call receives; it re-triggers cache *lookups*, never recompiles.
+call's width only changes how many items it receives; it re-triggers
+cache *lookups*, never recompiles.
 
 The batch contract is strict 1:1 map: ``kernel(items) -> outputs`` with
 ``len(outputs) == len(items)``.  Filtering (``None``) and fan-out

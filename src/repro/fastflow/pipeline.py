@@ -112,9 +112,9 @@ class ff_pipeline:
         return self
 
     def set_batching(self, batch_size: int) -> "ff_pipeline":
-        """Multi-push/multi-pop hand-off batching (FastFlow's multipush):
-        producers hand envelopes to a queue in groups of up to
-        ``batch_size``, amortizing synchronization per envelope."""
+        """Multi-pop hand-off batching: each stage drains up to
+        ``batch_size`` envelopes its input queue already holds in one
+        synchronization episode; producers never hold one back."""
         self._batch_size = batch_size
         return self
 

@@ -205,8 +205,8 @@ class UnitProbe:
         return False
 
     # sampled adders scale the observed wait back up to estimate the
-    # total; *_raw variants are for call sites that time every op
-    # (batched outbox flushes, the virtual-time sim executor).
+    # total; the unsampled adders below are for call sites that time
+    # every op (multi-pop pulls, the virtual-time sim executor).
     def sampled_get_wait(self, dt: float) -> None:
         self.get_wait += dt * self.wait_scale
 

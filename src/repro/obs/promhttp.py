@@ -141,10 +141,6 @@ def render_exposition(registry: "MetricsRegistry") -> str:
            "gauge",
            [(f'edge="{_escape(n)}"', 1.0 if v else 0.0)
             for n, v in sorted(blocking.items())])
-    batch = registry.control_state.get("batch")
-    if batch is not None:
-        family("repro_batch_size", "Live producer batch size.", "gauge",
-               [("", float(batch))])
     family("repro_controller_actions_total",
            "Controller actions applied or refused, by kind.", "counter",
            [(f'action="{_escape(a)}"', float(v))

@@ -28,7 +28,6 @@ class FakeActuator:
         self.replicas = replicas
         self.lo, self.hi = lo, hi
         self.blocking: Dict[str, bool] = {"work": True}
-        self._batch = 1
         self.calls = []
         self.refuse_scale = False
 
@@ -51,14 +50,6 @@ class FakeActuator:
     def set_blocking(self, edge, blocking):
         self.calls.append(("set_blocking", edge, blocking))
         self.blocking[edge] = blocking
-        return True
-
-    def batch(self):
-        return self._batch
-
-    def set_batch(self, batch):
-        self.calls.append(("set_batch", batch))
-        self._batch = batch
         return True
 
 
@@ -206,18 +197,6 @@ def test_blocking_lever_flips_to_spin_on_high_throughput():
          snap(5, BALANCED, throughput=10.0),
          snap(6, BALANCED, throughput=10.0))
     assert act.blocking["work"] is True
-
-
-def test_batch_lever_doubles_and_respects_ceiling():
-    act = FakeActuator(replicas=8, hi=8)
-    ctl = controller(act, tune_batch=True, max_batch=4,
-                     batch_service_ceiling=0.01)
-    feed(ctl, *[snap(i, CONSUMER_LIMITED, p50=0.001) for i in range(1, 3)])
-    assert act._batch == 2
-    feed(ctl, *[snap(i, CONSUMER_LIMITED, p50=0.001) for i in range(3, 7)])
-    assert act._batch == 4
-    feed(ctl, *[snap(i, CONSUMER_LIMITED, p50=0.001) for i in range(7, 13)])
-    assert act._batch == 4  # max_batch caps the doubling
 
 
 def test_summary_counts_windows_and_events():

@@ -91,11 +91,13 @@ def test_policy_field_must_be_a_tuning_policy():
 
 def test_policy_carries_no_transport_knobs():
     """``blocking``/``batch_size`` live on ExecConfig only: no second,
-    conflicting spelling on the policy."""
-    with pytest.raises(TypeError):
-        TuningPolicy(blocking="spin")
-    with pytest.raises(TypeError):
-        TuningPolicy(batch_size=8)
+    conflicting spelling on the policy, and no live batch lever —
+    ``batch_size`` is a fixed multi-pop width."""
+    for field in ({"blocking": "spin"}, {"batch_size": 8},
+                  {"tune_batch": True}, {"min_batch": 1}, {"max_batch": 64},
+                  {"batch_service_ceiling": 1e-4}):
+        with pytest.raises(TypeError):
+            TuningPolicy(**field)
 
 
 def test_policy_does_not_touch_config_knobs():

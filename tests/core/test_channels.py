@@ -254,11 +254,11 @@ def test_put_eos_shared_queue_one_sentinel_per_consumer():
         assert edge.get(0) is EOS
 
 
-def test_edge_put_many_buckets_by_placement():
+def test_edge_put_routes_by_placement():
     edge, _ = _edge(consumers=2, per_consumer=True,
                     placement=lambda seq, n: seq % n)
-    envs = [Env(i, (i,)) for i in range(6)]
-    edge.put_many(envs)
+    for i in range(6):
+        edge.put(Env(i, (i,)))
     edge.put_eos()
     got0 = [edge.get(0) for _ in range(4)]
     got1 = [edge.get(1) for _ in range(4)]

@@ -396,9 +396,8 @@ def test_channel_knobs_farm_of_pipelines_equivalence():
 
 
 def test_token_limit_exact_with_batching():
-    """Producer-side buffering is disabled under a token gate (buffered
-    envelopes would hold tokens without progress); the bound must stay
-    exact with consumer-side multi-pop still on."""
+    """Batching is consumer-side only (no producer ever holds an
+    envelope back), and the token bound stays exact with multi-pop on."""
     active = []
     peak = []
     lock = threading.Lock()
@@ -418,6 +417,64 @@ def test_token_limit_exact_with_batching():
                               batch_size=8))
     assert r.outputs == list(range(40))
     assert max(peak) <= 2
+
+
+def _inc(x):
+    return x + 1
+
+
+def _widths(items):
+    # each output is the width of the kernel call that produced it
+    return [len(items)] * len(items)
+
+
+_WORKERS = [
+    "thread",
+    pytest.param("process", marks=pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="process backend requires the fork start method")),
+]
+
+
+@pytest.mark.parametrize("workers", _WORKERS)
+@pytest.mark.parametrize("batch_size", [1, 16])
+def test_feedback_gated_source_never_starves(workers, batch_size):
+    """A source that takes one of 4 permits per item, returned by the
+    sink, must never wait on an envelope some producer holds back: every
+    item it sends reaches the sink, whatever the multi-pop width."""
+    permits = threading.Semaphore(4)
+
+    def gated():
+        for i in range(200):
+            if not permits.acquire(timeout=2):
+                raise RuntimeError(f"permit timed out at item {i}")
+            yield i
+
+    def release(x):
+        permits.release()
+        return x
+
+    g = linear_graph(IterSource(gated),
+                     Farm(StageSpec(FunctionStage(_inc), "inc"), replicas=2,
+                          ordered=True),
+                     StageSpec(FunctionStage(release), "sink"))
+    r = execute(g, ExecConfig(mode=ExecMode.NATIVE, workers=workers,
+                              batch_size=batch_size))
+    assert r.outputs == [i + 1 for i in range(200)]
+
+
+@pytest.mark.parametrize("workers", _WORKERS)
+def test_worker_kernel_sees_multi_pop_batches(workers):
+    """A replica's batch kernel is called on what one multi-pop drained:
+    wider than one item on both backends, never wider than batch_size."""
+    g = linear_graph(IterSource(range(400)),
+                     Farm(StageSpec(FunctionStage(_inc), "w",
+                                    vectorized=_widths), replicas=2),
+                     StageSpec(FunctionStage(lambda x: x), "sink"))
+    r = execute(g, ExecConfig(mode=ExecMode.NATIVE, workers=workers,
+                              batch_size=8))
+    assert len(r.outputs) == 400
+    assert 1 < max(r.outputs) <= 8
 
 
 @pytest.mark.parametrize("blocking", [True, False])

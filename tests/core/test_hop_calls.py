@@ -6,7 +6,9 @@ is the benchmark's ``hop_scalar`` shape — source -> ordered
 ``Farm(Pipe(inc, dbl), replicas=2)`` -> sink — run pinned to one CPU,
 with every thread's ``call`` events counted.  Each item crosses four
 hops, so the bound prices the whole per-hop path: channel put/get, the
-unit's bound fetch/apply/publish, envelopes and the reorder push.
+unit's bound fetch/apply/publish, envelopes and the reorder push.  With
+a token gate the bound is the same: the source's acquire and the sink's
+release add a lock each, and a release notifies only a parked source.
 """
 
 import itertools
@@ -25,6 +27,9 @@ N = 2000
 #: Python calls per item; the path made 54.6 before units bound their
 #: fetch/apply/publish once at start and channels woke peers once
 MAX_CALLS_PER_ITEM = 36
+#: ``Condition.notify`` calls per item under ``max_tokens``: a release
+#: that wakes nobody must not notify (1.08 per item when every one did)
+MAX_NOTIFY_PER_ITEM = 0.25
 
 
 def _inc(x):
@@ -46,16 +51,22 @@ def _graph(n, seen):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs os.sched_setaffinity")
-def test_hop_path_python_calls_per_item():
-    cfg = ExecConfig(collect_outputs=False)
+@pytest.mark.parametrize("max_tokens", [None, 64])
+def test_hop_path_python_calls_per_item(max_tokens):
+    cfg = ExecConfig(collect_outputs=False, max_tokens=max_tokens)
     execute(_graph(100, []), cfg)  # warm the plan and kernel caches
     seen: list = []
     counter = itertools.count()
     tick = counter.__next__
+    notifies = itertools.count()
+    notified = notifies.__next__
+    notify_code = threading.Condition.notify.__code__
 
     def profile(frame, event, arg):
         if event == "call":
             tick()
+            if frame.f_code is notify_code:
+                notified()
 
     mask = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(mask)})
@@ -74,3 +85,8 @@ def test_hop_path_python_calls_per_item():
     assert per_item <= MAX_CALLS_PER_ITEM, (
         f"{per_item:.1f} Python calls per item on the hop path "
         f"(bound {MAX_CALLS_PER_ITEM})")
+    if max_tokens is not None:
+        per_item = next(notifies) / N
+        assert per_item < MAX_NOTIFY_PER_ITEM, (
+            f"{per_item:.2f} notify calls per item with a token gate "
+            f"(bound {MAX_NOTIFY_PER_ITEM})")

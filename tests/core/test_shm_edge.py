@@ -109,8 +109,7 @@ def test_shm_early_eos_balances_across_retire(binding):
 @pytest.mark.parametrize("placement", [None, lambda seq, n: (seq * 7) % n])
 def test_shm_routing_matches_in_process_edge(binding, placement):
     def routed(e):
-        e.put_many([_Env(i) for i in range(6)])
-        for i in range(6, 12):
+        for i in range(12):
             e.put(_Env(i))
         e.put_eos()
         out = []
@@ -129,17 +128,35 @@ def test_shm_routing_matches_in_process_edge(binding, placement):
 
 def test_shm_get_many_returns_eos_alone(binding):
     e = _edge(binding, consumers=1, per_consumer=False)
-    e.put_many([_Env(i) for i in range(3)])  # one frame of three
+    for i in range(3):
+        e.put(_Env(i))  # three one-envelope frames
     e.put_eos()
+    # a multi-pop drains the frames already in the ring, up to max_n ...
     assert [x.seq for x in e.get_many(0, 2)] == [0, 1]
+    # ... and stops at the sentinel's frame, which then arrives alone
     assert [x.seq for x in e.get_many(0, 8)] == [2]
     assert e.get_many(0, 8) == [EOS]
-    # a frame carrying the sentinel mid-run still yields it alone
+    # a sentinel between frames mid-run still arrives alone
     q = _Frames(ShmChannel(1 << 12, None))
     try:
-        q.put_many(["a", EOS, "b"])
+        for item in ("a", EOS, "b"):
+            q.put(item)
         assert q.get_many(8, EOS) == ["a"]
         assert q.get_many(8, EOS) == [EOS]
+        assert q.get_many(8, EOS) == ["b"]
+    finally:
+        q.ring.close()
+        q.ring.unlink()
+
+
+def test_shm_shared_ring_get_many_reads_one_frame():
+    """With a consumer lock a sibling may take any frame after this one,
+    so a multi-pop must not wait on a second frame with items in hand."""
+    q = _Frames(ShmChannel(1 << 12, None), exclusive=False)
+    try:
+        for item in ("a", "b", "c"):
+            q.put(item)
+        assert q.get_many(8, EOS) == ["a"]
         assert q.get_many(8, EOS) == ["b"]
     finally:
         q.ring.close()

@@ -115,11 +115,11 @@ def test_cli_main_runs_fig1_json(capsys):
 def test_parse_policy_field_coercion():
     from repro.harness.__main__ import _parse_policy
 
-    pol = _parse_policy("max_replicas=8,window=0.5,tune_batch=true,"
+    pol = _parse_policy("max_replicas=8,window=0.5,scale_replicas=true,"
                         "tune_blocking=no")
     assert pol.max_replicas == 8
     assert pol.window == 0.5
-    assert pol.tune_batch is True
+    assert pol.scale_replicas is True
     assert pol.tune_blocking is False
 
 
